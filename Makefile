@@ -104,7 +104,8 @@ replay-gate:
 	EDB_REPLAY_BENCH=1 EDB_REPLAY_BENCH_SLACK=$(REPLAY_SLACK) $(GO) test -run TestReplayBenchGate -count=1 -v .
 
 # Trace-store regression gate: re-measures both from-file replay paths
-# (v2 read + in-memory sequential vs v3 streamed block-skip) on the
+# (v2 read + in-memory one-pass replay vs v3 streamed replay, where
+# block skip fires on none of the gate's blocks at one shard) on the
 # sparse bps monitor set and fails unless the streamed path still runs
 # at >=2x the v2 events/sec live, and within TRACE_SLACK of the
 # committed BENCH_trace_store.json ns/op. The 2x ratio takes no slack

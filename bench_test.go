@@ -67,7 +67,7 @@ func fixtures(b testing.TB) (*trace.Trace, *sessions.Set, *sim.Output) {
 			return
 		}
 		fixSet = sessions.Discover(fixTrace)
-		fixOut, fixErr = sim.Run(fixTrace, fixSet)
+		fixOut, fixErr = sim.RunWithOptions(fixTrace, fixSet, sim.Options{})
 		if fixErr != nil {
 			return
 		}
@@ -132,7 +132,7 @@ func BenchmarkTable3Counting(b *testing.B) {
 	tr, set, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(tr, set); err != nil {
+		if _, err := sim.RunWithOptions(tr, set, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,10 +233,10 @@ func BenchmarkLiveStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkSimReplay compares the two phase-2 replay engines on the
-// bps trace (the suite's largest session population): the sequential
-// one-pass simulator against the session-sharded engine at several
-// shard counts. The plain variants recompute the trace prepass per
+// BenchmarkSimReplay measures the phase-2 replay driver on the bps
+// trace (the suite's largest session population): one inline pass
+// (Shards: 1, named "sequential") against several session shard
+// counts. The plain variants recompute the trace prepass per
 // replay (a cold standalone run); the -prepassed variants share one
 // precomputed prepass across iterations, which is what internal/exp
 // pays after caching the prepass with the trace artifact. On a
@@ -251,7 +251,7 @@ func BenchmarkSimReplay(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Sequential(tr, set); err != nil {
+			if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -274,7 +274,7 @@ func BenchmarkSimReplay(b *testing.B) {
 		seen[k] = true
 		b.Run(fmt.Sprintf("sharded-%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Sharded(tr, set, k); err != nil {
+				if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: k}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,7 +348,7 @@ func BenchmarkTraceCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf writeCounter
-		if err := tr.Write(&buf); err != nil {
+		if err := trace.WriteTo(&buf, tr, trace.WriteOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

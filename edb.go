@@ -201,11 +201,10 @@ func RunExperiment(cfg ExperimentConfig) ([]*ProgramResult, error) {
 	return exp.Run(cfg)
 }
 
-// RunExperimentContext is RunExperiment under an explicit context —
-// the context-first form that replaces the deprecated
-// ExperimentConfig.Context field. Cancellation stops claiming new
-// benchmarks and interrupts retry backoff; benchmarks already past
-// their last context check run to completion.
+// RunExperimentContext is RunExperiment under an explicit context.
+// Cancellation stops claiming new benchmarks and interrupts retry
+// backoff; benchmarks already past their last context check run to
+// completion.
 func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) ([]*ProgramResult, error) {
 	return exp.RunContext(ctx, cfg)
 }

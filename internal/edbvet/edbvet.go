@@ -11,9 +11,6 @@
 //     fault.Site bypasses the chaos harness's site enumeration.
 //   - maporder: ranging over a map while feeding report/result output
 //     is a determinism hazard — collect the keys, sort, then emit.
-//   - legacyapi: the deprecated Trace.Write / WriteV3 / WriteV3Blocks
-//     shims must not gain new callers outside internal/trace — use
-//     trace.WriteTo, or trace.NewWriter for the streaming path.
 //
 // A finding can be suppressed with a directive comment on the
 // offending declaration or the line above the offending statement:
@@ -279,7 +276,6 @@ func Run(root string) ([]Finding, error) {
 		findings = append(findings, checkObsvNil(p)...)
 		findings = append(findings, checkFaultSite(p, reg)...)
 		findings = append(findings, checkMapOrder(p)...)
-		findings = append(findings, checkLegacyAPI(p)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos

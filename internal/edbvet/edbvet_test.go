@@ -264,107 +264,6 @@ func Waived(w io.Writer, m map[string]int) {
 	}
 }
 
-func TestLegacyAPICheck(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module tvet\n\ngo 1.22\n",
-		"internal/trace/trace.go": `package trace
-
-import "io"
-
-type Trace struct{ Program string }
-
-// Write is the deprecated v2 shim.
-func (t *Trace) Write(w io.Writer) error { return nil }
-
-// WriteV3 is the deprecated v3 shim.
-func (t *Trace) WriteV3(w io.Writer) error { return nil }
-
-// WriteV3Blocks is the deprecated blocked-v3 shim.
-func (t *Trace) WriteV3Blocks(w io.Writer, blockEvents int) error { return nil }
-
-// WriteText is NOT deprecated.
-func (t *Trace) WriteText(w io.Writer) error { return nil }
-
-// WriteTo is the sanctioned entry point.
-func WriteTo(w io.Writer, t *Trace) error { return nil }
-
-// internalUse inside the package is fine.
-func internalUse(w io.Writer, t *Trace) error { return t.Write(w) }
-`,
-		"user/user.go": `package user
-
-import (
-	"bytes"
-	"io"
-
-	"tvet/internal/trace"
-)
-
-// BadCall uses a shim directly.
-func BadCall(w io.Writer, t *trace.Trace) error { return t.WriteV3(w) }
-
-// GoodNew uses the sanctioned entry point.
-func GoodNew(w io.Writer, t *trace.Trace) error { return trace.WriteTo(w, t) }
-
-// GoodText uses the non-deprecated text renderer.
-func GoodText(w io.Writer, t *trace.Trace) error { return t.WriteText(w) }
-
-// GoodBuffer writes to an unrelated Write method.
-func GoodBuffer(b *bytes.Buffer) { b.Write(nil) }
-
-// Waived carries a migration-window suppression.
-//
-//edbvet:allow legacyapi -- golden-fixture generator needs the v2 shim
-func Waived(w io.Writer, t *trace.Trace) error { return t.Write(w) }
-`,
-	})
-	fs, err := Run(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !has(fs, "legacyapi", "Trace.WriteV3 is a deprecated shim") {
-		t.Errorf("shim call not flagged: %v", fs)
-	}
-	if got := count(fs, "legacyapi"); got != 1 {
-		t.Errorf("want exactly 1 legacyapi finding, got %d: %v", got, fs)
-	}
-}
-
-func TestLegacyAPIMethodValue(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module tvet\n\ngo 1.22\n",
-		"internal/trace/trace.go": `package trace
-
-import "io"
-
-type Trace struct{ Program string }
-
-func (t *Trace) Write(w io.Writer) error { return nil }
-`,
-		"user/user.go": `package user
-
-import (
-	"io"
-
-	"tvet/internal/trace"
-)
-
-// Render binds the shim as a method value — still a caller.
-func Render(t *trace.Trace) func(io.Writer) error { return t.Write }
-`,
-	})
-	fs, err := Run(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !has(fs, "legacyapi", "Trace.Write is a deprecated shim") {
-		t.Errorf("method value not flagged: %v", fs)
-	}
-	if got := count(fs, "legacyapi"); got != 1 {
-		t.Errorf("want exactly 1 legacyapi finding, got %d: %v", got, fs)
-	}
-}
-
 // TestRepoIsClean runs the full suite over this repository: the lint
 // gate in `make lint` requires zero findings, so the tree must stay
 // clean (or carry an explicit allow directive with a reason).

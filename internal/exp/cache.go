@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -33,24 +32,9 @@ type artifacts struct {
 	// remap), computed once here so every analysis pass — each timing
 	// profile, every REPL re-run — shares it instead of re-deriving it
 	// per replay. Immutable, like the trace it indexes.
-	pp *sim.Prepass
-	// bidx is the trace's v3 block index (per-block page-touch
-	// summaries at the default blocking), cached with the trace so
-	// streaming replays and skip-rate analyses share one computation
-	// instead of re-summarising the event stream. Immutable.
-	bidx          *trace.BlockIndex
+	pp            *sim.Prepass
 	storeFraction float64
 	expansion     float64
-
-	// streamSrc is the artifact's interned streamed-replay source: the
-	// trace encoded once as v3 bytes behind a SharedSource, so every
-	// streamed replay of this artifact — any shard count, any repeat —
-	// shares one immutable decoded object table instead of re-decoding
-	// the header per open. Built lazily on first use (most analyses
-	// replay in-memory and never pay for the encode); only successes
-	// are memoised, matching the cache's no-negative-caching rule.
-	streamMu  sync.Mutex
-	streamSrc *trace.SharedSource
 
 	// expansionOpt is the code expansion under the optimized patcher.
 	expansionOpt float64
@@ -190,38 +174,6 @@ func CacheSize() int {
 	return len(cache)
 }
 
-// streamSource returns the artifact's interned v3 stream source,
-// encoding the trace at the default blocking on first use.
-func (a *artifacts) streamSource() (*trace.SharedSource, error) {
-	if err := a.fresh(); err != nil {
-		return nil, err
-	}
-	a.streamMu.Lock()
-	defer a.streamMu.Unlock()
-	if a.streamSrc != nil {
-		return a.streamSrc, nil
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteTo(&buf, a.tr, trace.WriteOptions{Version: 3}); err != nil {
-		return nil, fmt.Errorf("exp: encoding %s for streaming: %w", a.tr.Program, err)
-	}
-	a.streamSrc = trace.NewSharedSource(trace.BytesSource(buf.Bytes()))
-	return a.streamSrc, nil
-}
-
-// CachedStreamSource returns the interned streamed-replay source for
-// p's trace, building the compile/trace artifacts (or reusing the
-// cached ones) as needed. Every caller for the same (benchmark, scale)
-// gets the same SharedSource, so all streamed replays of one pipeline
-// share a single decoded object table.
-func CachedStreamSource(p progs.Program) (*trace.SharedSource, error) {
-	art, err := cachedArtifacts(p, nil)
-	if err != nil {
-		return nil, err
-	}
-	return art.streamSource()
-}
-
 func keyFor(p progs.Program) cacheKey {
 	h := fnv.New64a()
 	h.Write([]byte(p.Source))
@@ -319,10 +271,7 @@ func buildArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: prepass for %s: %w", p.Name, err)
 	}
-	ps = o.phase(p.Name, PhaseBlockIndex)
-	bidx := tr.BuildBlockIndex(0)
-	ps.done(nil)
-	a := &artifacts{tr: tr, pp: pp, bidx: bidx}
+	a := &artifacts{tr: tr, pp: pp}
 	stores, total := img.CountStores()
 	a.storeFraction = float64(stores) / float64(total)
 	ps = o.phase(p.Name, PhaseSummaries)

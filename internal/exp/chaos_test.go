@@ -205,7 +205,7 @@ func chaosTrace(t *testing.T) (*trace.Trace, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := art.tr.Write(&buf); err != nil {
+	if err := trace.WriteTo(&buf, art.tr, trace.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return art.tr, buf.Bytes()
@@ -226,7 +226,7 @@ func chaosTraceWrite(t *testing.T) {
 			var err error
 			for attempt := 0; attempt < 3; attempt++ {
 				var buf bytes.Buffer
-				err = tr.Write(&buf)
+				err = trace.WriteTo(&buf, tr, trace.WriteOptions{})
 				if err == nil {
 					got = buf.Bytes()
 					break
@@ -288,7 +288,7 @@ func chaosTraceRead(t *testing.T) {
 			// The decoded trace must re-encode to the exact baseline
 			// bytes: nothing was lost or invented on the faulted path.
 			var re bytes.Buffer
-			if err := got.Write(&re); err != nil {
+			if err := trace.WriteTo(&re, got, trace.WriteOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(re.Bytes(), baseline) {
@@ -312,7 +312,7 @@ func chaosTraceCorrupt(t *testing.T) {
 			Site: fault.SiteTraceCorrupt, Key: chaosProgram, Kind: fault.Corrupt,
 		}))
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := trace.WriteTo(&buf, tr, trace.WriteOptions{}); err != nil {
 			t.Fatalf("seed %d: corrupting write errored: %v", seed, err)
 		}
 		fault.Deactivate()

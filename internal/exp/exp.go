@@ -42,18 +42,6 @@ type Config struct {
 	// of the worker count.
 	Workers int
 
-	// Context cancels or deadlines the run; nil means
-	// context.Background(). Cancellation is observed between pipeline
-	// phases, so a deadline bounds the run to roughly one phase's
-	// granularity.
-	//
-	// Deprecated: carrying a context in a struct hides the caller's
-	// cancellation scope. Pass the context as an argument instead:
-	// RunContext(ctx, cfg) (or edb.RunExperimentContext). This field
-	// remains honored for one release — Run consults it, and
-	// RunContext falls back to it when called with a background
-	// context — and will then be removed.
-	Context context.Context
 	// KeepGoing turns the pipeline from fail-fast into gracefully
 	// degrading: instead of cancelling the pool on the first failure,
 	// every benchmark is attempted, failed programs come back as
@@ -486,26 +474,18 @@ func runWithRetry(ctx context.Context, c *Config, p progs.Program, o *obs) (*Pro
 // Programs slot, and Run returns the partial results together with a
 // *RunError listing the failures in Programs order.
 //
-// Run is the struct-context compatibility entry point: it honors the
-// deprecated Config.Context field. New code should call RunContext.
+// Run is RunContext under context.Background().
 func Run(cfg Config) ([]*ProgramResult, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunContext is Run under a caller-supplied context — the context-first
-// form. ctx cancels or deadlines the whole run; cancellation is
-// observed between pipeline phases, so a deadline bounds the run to
-// roughly one phase's granularity.
-//
-// Compatibility shim: when ctx is nil or context.Background() and the
-// deprecated Config.Context field is set, that field is used, so
-// callers migrating one layer at a time keep their old behaviour.
+// RunContext is Run under a caller-supplied context. ctx cancels or
+// deadlines the whole run (nil means context.Background());
+// cancellation is observed between pipeline phases, so a deadline
+// bounds the run to roughly one phase's granularity.
 func RunContext(ctx context.Context, cfg Config) ([]*ProgramResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if cfg.Context != nil && ctx == context.Background() {
-		ctx = cfg.Context
 	}
 	c := cfg.withDefaults()
 	n := len(c.Programs)

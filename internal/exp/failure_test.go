@@ -73,7 +73,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := builds.Load()
-	_, err := Run(Config{Programs: chaosPrograms, Workers: 2, Context: ctx})
+	_, err := RunContext(ctx, Config{Programs: chaosPrograms, Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -89,14 +89,14 @@ func TestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // ensure expiry
-	_, err := Run(Config{Programs: chaosPrograms, Workers: 1, Context: ctx})
+	_, err := RunContext(ctx, Config{Programs: chaosPrograms, Workers: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
-	rs, err := Run(Config{Programs: chaosPrograms, Workers: 2, Context: ctx2})
+	rs, err := RunContext(ctx2, Config{Programs: chaosPrograms, Workers: 2})
 	if err != nil {
 		t.Fatalf("generous deadline failed the run: %v", err)
 	}

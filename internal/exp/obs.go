@@ -39,9 +39,10 @@ const (
 	// resolution + dense page remap), cached with the trace so every
 	// later replay of the artifact shares it.
 	PhasePrepass = "prepass"
-	// PhaseBlockIndex computes the trace's v3 block index (per-block
-	// page-touch summaries), cached with the artifact so streaming
-	// replays share the skip metadata.
+	// PhaseBlockIndex named the cold build's v3 block-index phase. No
+	// replay ever read that index, so the pipeline no longer builds it
+	// and never emits this phase; the name stays for ledgers that
+	// still report it (as zero).
 	PhaseBlockIndex = "blockindex"
 	// PhaseSummaries builds the interprocedural layer (call graph,
 	// per-function write summaries, entry facts) cached with the

@@ -266,26 +266,3 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatal("cancelled run returned nil error")
 	}
 }
-
-// TestConfigContextShim: the deprecated Config.Context field is still
-// honored by Run (and by RunContext called with a background context).
-func TestConfigContextShim(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ResetCache()
-	if _, err := Run(Config{Programs: []string{"bps"}, Workers: 1, Context: ctx}); err == nil {
-		t.Fatal("Run ignored the deprecated Config.Context")
-	}
-	if _, err := RunContext(context.Background(), Config{Programs: []string{"bps"}, Workers: 1, Context: ctx}); err == nil {
-		t.Fatal("RunContext(Background) ignored the deprecated Config.Context")
-	}
-	// An explicit live context wins over a cancelled Config.Context…
-	// (the explicit argument is the caller's actual scope).
-	live, liveCancel := context.WithCancel(context.Background())
-	defer liveCancel()
-	if _, err := RunContext(live, Config{Programs: []string{"bps"}, Workers: 1, Context: ctx}); err != nil {
-		// The shim only applies when ctx == Background; a non-Background
-		// live context must not fall back to the cancelled field.
-		t.Fatalf("explicit context lost to deprecated field: %v", err)
-	}
-}

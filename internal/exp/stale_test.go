@@ -65,14 +65,11 @@ func TestStaleArtifactsAfterImageMutation(t *testing.T) {
 
 	// The held reference is now typed-stale, not silently reusable.
 	var stale *StaleArtifactError
-	if _, err := art.streamSource(); !errors.As(err, &stale) {
-		t.Fatalf("stale artifacts' streamSource returned %v, want StaleArtifactError", err)
+	if err := art.fresh(); !errors.As(err, &stale) {
+		t.Fatalf("stale artifacts' freshness check returned %v, want StaleArtifactError", err)
 	}
 	if stale.Program != p.Name || stale.CurrentGen != stale.BuiltGen+1 {
 		t.Fatalf("stale error mis-attributed: %+v", stale)
-	}
-	if err := art.fresh(); err == nil {
-		t.Fatal("stale artifacts pass the freshness check")
 	}
 
 	// The cache entry was evicted: the next lookup is a cold rebuild,
@@ -93,9 +90,6 @@ func TestStaleArtifactsAfterImageMutation(t *testing.T) {
 	}
 	if err := rebuilt.fresh(); err != nil {
 		t.Fatalf("rebuilt artifacts report stale: %v", err)
-	}
-	if _, err := rebuilt.streamSource(); err != nil {
-		t.Fatalf("rebuilt artifacts' streamSource: %v", err)
 	}
 
 	// Every mutation kind re-stales: removing the watched range through

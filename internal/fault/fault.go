@@ -77,7 +77,7 @@ var (
 	// benchmark name. Honors Transient, Permanent, and Panic.
 	SiteBuildArtifacts = Register("exp.buildArtifacts")
 	// SiteTraceWrite fires at the top of trace serialisation
-	// (trace.Trace.Write), modelling an output I/O error. Keyed by
+	// (trace.WriteTo and trace.Writer), modelling an output I/O error. Keyed by
 	// program name. Honors Transient and Permanent.
 	SiteTraceWrite = Register("trace.Write")
 	// SiteTraceCorrupt flips one deterministic bit in a serialised
@@ -89,9 +89,9 @@ var (
 	// name is not known until the header parses). Honors Transient and
 	// Permanent.
 	SiteTraceRead = Register("trace.Read")
-	// SiteSimReplay fires at the top of phase-2 replay (sim.Sequential /
-	// sim.Sharded). Keyed by program name. Honors Transient, Permanent,
-	// and Panic.
+	// SiteSimReplay fires at the top of every phase-2 replay
+	// (sim.RunWithOptions, in-memory or streamed). Keyed by program
+	// name. Honors Transient, Permanent, and Panic.
 	SiteSimReplay = Register("sim.Replay")
 	// SiteCPUFuel fires at the top of cpu.Run; the CPU converts the
 	// injection into an early ErrFuelExhausted, modelling a run that

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"edb/internal/trace"
 )
 
 // buildEnvelope assembles an EDBS envelope from raw frame payloads,
@@ -50,7 +52,7 @@ func rawFrame(declaredLen uint64, crc uint32, payload []byte) []byte {
 // (regenerate with EDB_REGEN_FUZZ_CORPUS=1, see corpusgen_test.go).
 func FuzzServeRequest(f *testing.F) {
 	var traceBuf bytes.Buffer
-	if err := testTrace().Write(&traceBuf); err != nil {
+	if err := trace.WriteTo(&traceBuf, testTrace(), trace.WriteOptions{}); err != nil {
 		f.Fatal(err)
 	}
 	tb := traceBuf.Bytes()

@@ -266,13 +266,13 @@ func (r *Report) Record(specHash string, res *Result) {
 
 // Summary is a report's aggregate view.
 type Summary struct {
-	Total     int     `json:"total"`
-	Failures  int     `json:"failures"`
-	Cached    int     `json:"cached"`
-	Attempts  int     `json:"attempts"`
-	P50MS     float64 `json:"p50_ms"`
-	P99MS     float64 `json:"p99_ms"`
-	MaxMS     float64 `json:"max_ms"`
+	Total    int     `json:"total"`
+	Failures int     `json:"failures"`
+	Cached   int     `json:"cached"`
+	Attempts int     `json:"attempts"`
+	P50MS    float64 `json:"p50_ms"`
+	P99MS    float64 `json:"p99_ms"`
+	MaxMS    float64 `json:"max_ms"`
 	// InconsistentSpecs counts submissions whose repeats disagreed on
 	// the result hash; determinism demands zero.
 	InconsistentSpecs int `json:"inconsistent_specs"`

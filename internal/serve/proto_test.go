@@ -34,7 +34,7 @@ func testTrace() *trace.Trace {
 func encodeTestTrace(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -240,7 +240,7 @@ func (s *Server) writeErr(w http.ResponseWriter, tenant string, code int, err er
 		retryAfter = 100 * time.Millisecond
 	}
 	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds()) + 1))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter.Seconds())+1))
 		w.Header().Set("X-EDB-Retry-After-Ms", strconv.FormatInt(retryAfter.Milliseconds(), 10))
 	}
 	body := errBody{Error: err.Error()}

@@ -104,8 +104,8 @@ type Set struct {
 	//
 	// Within one object's span the session indices are strictly
 	// ascending (NewSet appends session indices in session order). The
-	// sortedness is an invariant the sharded simulator
-	// (internal/sim.Sharded) relies on: it lets a shard owning the
+	// sortedness is an invariant sharded replay (internal/sim with
+	// Options.Shards > 1) relies on: it lets a shard owning the
 	// contiguous session range [lo, hi) binary-search straight to its
 	// members via MembershipRange. Use the Membership accessor rather
 	// than indexing these directly.

@@ -47,3 +47,57 @@ func BenchmarkReplayCore(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events")
 }
+
+// BenchmarkFrontEnd measures the two addressing front-ends on the same
+// work: every workload's full discovered session set, replayed once by
+// the prepassed in-memory shard (replayRange over a cached Prepare) and
+// once by the streamed worker over blocks decoded up front (so neither
+// side pays decode). The ratio is why both front-ends exist: the
+// incremental member-only tables cost more per event than the prepass
+// indexes, so a materialised trace keeps the prepass.
+func BenchmarkFrontEnd(b *testing.B) {
+	for _, name := range []string{"gcc", "ctex", "spice", "qcd", "bps"} {
+		tr := workloadTrace(b, name)
+		set := sessions.Discover(tr)
+		n := int32(len(set.Sessions))
+		pp, err := Prepare(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/prepass", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var pages [2]pageTab
+				replayRange(tr, set, pp, 0, n, make([]Counting, n), &pages)
+			}
+		})
+		s, err := v3Source(b, tr, 0).Open()
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Copy every decoded block out through a one-shard broadcast,
+		// handing it a fresh buffer each time.
+		r := replay{feeds: []chan *sharedBlock{make(chan *sharedBlock, 1)}, free: make(chan *sharedBlock, 1)}
+		var blocks []*sharedBlock
+		for s.Next() {
+			if err := s.DecodeWrites(); err != nil {
+				b.Fatal(err)
+			}
+			blk, _ := s.DecodeIR()
+			r.free <- &sharedBlock{}
+			r.broadcast(s.Summary(), blk)
+			blocks = append(blocks, <-r.feeds[0])
+		}
+		if err := s.Err(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/stream", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w := newStreamWorker(set, 0, n, make([]Counting, n))
+				for _, sb := range blocks {
+					w.consume(&sb.sum, &sb.blk)
+				}
+				w.settle()
+			}
+		})
+	}
+}

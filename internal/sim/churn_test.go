@@ -65,17 +65,17 @@ var churnSimSchedule = []tracer.ChurnPoint{
 }
 
 // TestChurnReplayEnginesAgree: sequential, sharded, and streamed
-// (v3-decoded, with and without block skip) replay of a churned trace
-// produce identical per-session counting vectors.
+// (v3-decoded, with block skip) replay of a churned trace produce
+// identical per-session counting vectors.
 func TestChurnReplayEnginesAgree(t *testing.T) {
 	tr := churnedSimTrace(t, churnSimSchedule)
 	set := sessions.Discover(tr)
-	base, err := Sequential(tr, set)
+	base, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sh, err := Sharded(tr, set, 3)
+	sh, err := sharded(tr, set, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +93,14 @@ func TestChurnReplayEnginesAgree(t *testing.T) {
 	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: 32}); err != nil {
 		t.Fatal(err)
 	}
-	for _, noskip := range []bool{false, true} {
-		st, err := RunStream(trace.BytesSource(buf.Bytes()), set, StreamOptions{Shards: 4, NoSkip: noskip})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range base.PerSession {
-			if st.PerSession[i] != base.PerSession[i] {
-				t.Errorf("noskip=%v session %s: streamed %+v != sequential %+v",
-					noskip, set.Sessions[i].Label(), st.PerSession[i], base.PerSession[i])
-			}
+	st, err := streamed(trace.BytesSource(buf.Bytes()), set, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range base.PerSession {
+		if st.PerSession[i] != base.PerSession[i] {
+			t.Errorf("session %s: streamed %+v != sequential %+v",
+				set.Sessions[i].Label(), st.PerSession[i], base.PerSession[i])
 		}
 	}
 }
@@ -133,11 +131,11 @@ func TestChurnReplayMetamorphic(t *testing.T) {
 		}
 	}
 
-	b, err := Sequential(base, set)
+	b, err := sequential(base, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Sequential(churned, cset)
+	c, err := sequential(churned, cset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestGoldenReplayPinning(t *testing.T) {
 	for _, name := range progs.Names() {
 		tr := workloadTrace(t, name)
 		set := sessions.Discover(tr)
-		seq, err := Sequential(tr, set)
+		seq, err := sequential(tr, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestGoldenReplayPinning(t *testing.T) {
 		got[name] = hash
 		// Both engines must pin to the same hash: one sharded replay per
 		// workload (the differential suite covers the full shard matrix).
-		sh, err := Sharded(tr, set, 3)
+		sh, err := sharded(tr, set, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestMetamorphicSessionPermutation(t *testing.T) {
 	for seed := int64(41); seed <= 44; seed++ {
 		tr := checkedTrace(t, seed, 1200)
 		set := sessions.Discover(tr)
-		base, err := Sequential(tr, set)
+		base, err := sequential(tr, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,11 +37,11 @@ func TestMetamorphicSessionPermutation(t *testing.T) {
 		}
 		pset := sessions.NewSet(permuted, tr.Objects.Len())
 
-		pseq, err := Sequential(tr, pset)
+		pseq, err := sequential(tr, pset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		psh, err := Sharded(tr, pset, 3)
+		psh, err := sharded(tr, pset, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +105,11 @@ func TestMetamorphicConcatDoubles(t *testing.T) {
 	for seed := int64(51); seed <= 54; seed++ {
 		tr := checkedTrace(t, seed, 900)
 		set := sessions.Discover(tr)
-		one, err := Sequential(tr, set)
+		one, err := sequential(tr, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := Sequential(concatTrace(t, tr), set)
+		two, err := sequential(concatTrace(t, tr), set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestMetamorphicSplitSums(t *testing.T) {
 		tr := checkedTrace(t, seed, 1100)
 		set := sessions.Discover(tr)
 		dbl := concatTrace(t, tr)
-		whole, err := Sequential(dbl, set)
+		whole, err := sequential(dbl, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestMetamorphicSplitSums(t *testing.T) {
 		sum := make([]Counting, len(set.Sessions))
 		var totalWrites uint64
 		for _, h := range halves {
-			out, err := Sequential(h, set)
+			out, err := sequential(h, set)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ import (
 func TestObservedReplayIsBitIdentical(t *testing.T) {
 	tr := checkedTrace(t, 71, 1500)
 	set := sessions.Discover(tr)
-	quiet, err := Sequential(tr, set)
+	quiet, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}

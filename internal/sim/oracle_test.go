@@ -228,6 +228,16 @@ func checkedTrace(t *testing.T, seed int64, events int) *trace.Trace {
 	return tr
 }
 
+// sequential and sharded replay tr in memory through the one driver,
+// in one inline pass and over k session shards.
+func sequential(tr *trace.Trace, set *sessions.Set) (*Output, error) {
+	return RunWithOptions(tr, set, Options{Shards: 1})
+}
+
+func sharded(tr *trace.Trace, set *sessions.Set, k int) (*Output, error) {
+	return RunWithOptions(tr, set, Options{Shards: k})
+}
+
 // shardCounts returns the shard counts the differential suite must
 // prove equivalent: the fixed set {1, 2, 3, 8} plus NumCPU.
 func shardCounts() []int {
@@ -250,7 +260,7 @@ func TestOnePassMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		tr := checkedTrace(t, seed, 1500)
 		set := sessions.Discover(tr)
-		out, err := Run(tr, set)
+		out, err := RunWithOptions(tr, set, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +293,7 @@ func TestDifferentialSerialShardedNaive(t *testing.T) {
 	for _, tc := range cases {
 		tr := checkedTrace(t, tc.seed, tc.events)
 		set := sessions.Discover(tr)
-		seq, err := Sequential(tr, set)
+		seq, err := sequential(tr, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +306,7 @@ func TestDifferentialSerialShardedNaive(t *testing.T) {
 		}
 		// Sequential ≡ Sharded, for every shard count.
 		for _, k := range shardCounts() {
-			sh, err := Sharded(tr, set, k)
+			sh, err := sharded(tr, set, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,12 +355,12 @@ func TestRandomTraceStraddlesPages(t *testing.T) {
 func TestShardedDegenerate(t *testing.T) {
 	tr := checkedTrace(t, 3, 400)
 	set := sessions.Discover(tr)
-	seq, err := Sequential(tr, set)
+	seq, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{-1, 0, len(set.Sessions) + 50, 10_000} {
-		sh, err := Sharded(tr, set, k)
+		sh, err := sharded(tr, set, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +371,7 @@ func TestShardedDegenerate(t *testing.T) {
 		}
 	}
 	empty := sessions.NewSet(nil, tr.Objects.Len())
-	sh, err := Sharded(tr, empty, 4)
+	sh, err := sharded(tr, empty, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +386,10 @@ func TestShardedRejectsBadTrace(t *testing.T) {
 	tr := checkedTrace(t, 2, 200)
 	tr.Events = append(tr.Events, trace.Event{Kind: trace.EventKind(77)})
 	set := sessions.Discover(tr)
-	if _, err := Sharded(tr, set, 2); err == nil {
+	if _, err := sharded(tr, set, 2); err == nil {
 		t.Error("bad event kind should fail")
 	}
-	if _, err := Sequential(tr, set); err == nil {
+	if _, err := sequential(tr, set); err == nil {
 		t.Error("bad event kind should fail sequentially too")
 	}
 }

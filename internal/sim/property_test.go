@@ -75,13 +75,13 @@ func engineOutputs(t *testing.T, tr *trace.Trace, set *sessions.Set) map[string]
 		t.Fatal(err)
 	}
 	outs := map[string]*Output{}
-	seq, err := Sequential(tr, set)
+	seq, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	outs["sequential"] = seq
 	for _, k := range shardCounts() {
-		sh, err := Sharded(tr, set, k)
+		sh, err := sharded(tr, set, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestPropertyShardUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Sequential(tr, set)
+	seq, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,8 @@
 //
 // Page-granular statistics are computed for 4 KiB and 8 KiB pages in the
 // same pass. A naive per-session replay would cost |sessions| × |trace|;
-// this implementation is a single pass over a flat-memory layout built
-// by a one-time trace prepass (Prepare):
+// this implementation is a single pass over the trace:
 //
-//   - the prepass resolves every write to the object it hits and remaps
-//     the touched pages of each page size to dense indexes, so the
-//     replay loop indexes flat slices instead of hashing raw page
-//     numbers (see Prepass);
 //   - object → session membership is the CSR index of sessions.Set —
 //     one offset lookup and a shared flat int32 array, no per-object
 //     slice headers;
@@ -32,18 +27,29 @@
 //     (pageTab) with sorted entries, replacing one heap allocation per
 //     live page with a handful of arena growths per replay.
 //
-// Two replay engines are provided; both consume the same immutable
-// prepass and drive the same flat replay core, so their outputs are
-// bit-identical by construction (and the differential oracle suite,
-// oracle_test.go, re-proves it against a naive per-session replay for
-// every shard count). Sequential replays all sessions on the calling
-// goroutine. Sharded partitions the sessions into K contiguous index
-// ranges and replays the shared trace once per shard concurrently:
-// each worker owns a disjoint dense counter range (a subslice of
-// PerSession) and its own page tables, so no locks are needed and the
-// merge is a no-op. Run picks the engine automatically: Sharded when
-// GOMAXPROCS > 1 and the session population is large enough to
-// amortise the fan-out, Sequential otherwise.
+// RunWithOptions is the only entry point, and one driver runs every
+// replay: it injects the replay fault, clamps the shard count, builds
+// the Output, opens the engine span, fans the session set out over K
+// contiguous index ranges and derives the closed-form counters
+// (finishCounters). Each shard owns a disjoint subslice of PerSession
+// and its own page tables, so no locks are needed and the merge is a
+// no-op; K=1 runs inline on the calling goroutine.
+//
+// How a shard addresses the trace depends on the input, and exactly two
+// front-ends exist:
+//
+//   - A materialised trace is replayed through its prepass (Prepare):
+//     writes are resolved to the object they hit and touched pages are
+//     remapped to dense indexes once, so every shard scans the shared
+//     []Event with pure slice indexing (replayRange).
+//   - A v3 StreamSource is decoded once, block by block, and each shard
+//     keeps incremental member-only word and page tables (stream.go).
+//     Blocks whose writes provably touch no monitored page are skipped.
+//
+// Both front-ends drive the same pageTab accounting, so their outputs
+// are bit-identical (and the differential oracle suite, oracle_test.go,
+// re-proves it against a naive per-session replay for every shard
+// count).
 package sim
 
 import (
@@ -90,42 +96,37 @@ type Output struct {
 	Set        *sessions.Set
 }
 
-// ShardThreshold is the session count below which Run prefers the
-// Sequential engine: with few sessions the per-shard fan-out overhead
-// (one full event-stream scan per worker) outweighs the parallelism.
+// ShardThreshold is the session count below which automatic shard
+// selection replays in one pass: with few sessions the per-shard
+// fan-out overhead (one full event-stream scan per worker) outweighs
+// the parallelism.
 const ShardThreshold = 64
 
 // Options parameterises a replay beyond the trace and session set.
-// The zero value reproduces Run's behaviour exactly. Callers pick
-// in-memory vs streamed replay by data, not by function name: pass a
+// Callers pick in-memory vs streamed replay by data: pass a
 // materialised *trace.Trace to replay in memory, or set Source (with a
 // nil trace) to stream a v3 file block by block.
 type Options struct {
-	// Shards selects the engine: 0 auto-selects for in-memory replay
-	// (Sharded across GOMAXPROCS workers when the host has spare cores
-	// and the session population is at least ShardThreshold) and
-	// single-pass for streamed replay, 1 forces Sequential, and >1
-	// forces Sharded with that worker count.
+	// Shards is the number of contiguous session ranges replayed
+	// concurrently, clamped to the session count. 0 selects
+	// automatically: for in-memory replay GOMAXPROCS shards when the
+	// host has spare cores and the session population is at least
+	// ShardThreshold, one otherwise; for streamed replay one. 1 (or
+	// any negative value) forces one inline pass.
 	Shards int
 	// Source selects streamed replay over a v3 trace: the trace
 	// argument must be nil, and blocks are decoded once and fanned out
 	// to all shards through a bounded pipeline (stream.go). Prepass
 	// does not apply to streamed replay.
 	Source trace.StreamSource
-	// NoSkip disables the streamed engine's block-skip fast path:
-	// every block's write columns are decoded and replayed. Results
-	// are bit-identical with and without skipping (the differential
-	// suite holds the engine to that); NoSkip exists as the oracle's
-	// slow half and for measuring the skip win. In-memory replay
-	// ignores it.
-	NoSkip bool
-	// Obs, when non-nil, receives replay-engine spans: the trace
-	// prepass (when not supplied via Prepass), one span per shard
-	// worker (with its session index range), and an events-per-second
-	// attribute on the replay span, so a Perfetto timeline shows the
-	// replay fan-out and throughput. Nil disables observation at zero
-	// cost; results are bit-identical either way (observation never
-	// feeds back).
+	// Obs, when non-nil, receives replay spans: the trace prepass
+	// (when not supplied via Prepass), the engine span with an
+	// events-per-second attribute, one span per shard (with its
+	// session index range, and for streamed replay its skipped-block
+	// count) and the streamed decode pass, so a Perfetto timeline
+	// shows the replay fan-out and throughput. Nil disables
+	// observation at zero cost; results are bit-identical either way
+	// (observation never feeds back).
 	Obs *obsv.Tracer
 	// Prepass supplies a precomputed trace prepass (Prepare). It must
 	// have been built from exactly this trace; replays under different
@@ -135,53 +136,86 @@ type Options struct {
 	Prepass *Prepass
 }
 
-// Run replays the trace against the session set, picking the replay
-// engine automatically: Sharded across GOMAXPROCS workers when the host
-// has spare cores and the session population is at least
-// ShardThreshold, Sequential otherwise. Both engines produce
-// bit-identical output.
-func Run(tr *trace.Trace, set *sessions.Set) (*Output, error) {
-	return RunWithOptions(tr, set, Options{})
-}
-
-// RunWithOptions is Run with explicit engine selection, a shareable
-// precomputed prepass, streamed replay (Options.Source), and
-// observability sinks (see Options).
-func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, error) {
-	if o.Source != nil {
-		if tr != nil {
-			return nil, fmt.Errorf("sim: both a materialised trace and a stream source supplied")
-		}
-		if o.Prepass != nil {
-			return nil, fmt.Errorf("sim: a prepass cannot drive a streamed replay")
-		}
-		return runStreamed(o.Source, set, o)
-	}
-	if tr == nil {
-		return nil, fmt.Errorf("sim: nil trace and no stream source")
-	}
-	shards := o.Shards
-	if shards == 0 {
-		if w := runtime.GOMAXPROCS(0); w > 1 && len(set.Sessions) >= ShardThreshold {
-			shards = w
-		} else {
-			shards = 1
-		}
-	}
-	if shards > 1 {
-		return sharded(tr, set, shards, o.Obs, o.Prepass)
-	}
-	return sequential(tr, set, o.Obs, o.Prepass)
-}
-
-// Sequential replays the trace against the session set on the calling
-// goroutine.
+// RunWithOptions replays the trace — or, with Options.Source, the
+// streamed v3 trace — against the session set. Every shard count and
+// both sources produce bit-identical output.
 //
 // Replay entry is an injection point (fault.SiteSimReplay, keyed by
 // program name); with no active chaos plan the check is one atomic
 // load per replay, never per event.
-func Sequential(tr *trace.Trace, set *sessions.Set) (*Output, error) {
-	return sequential(tr, set, nil, nil)
+func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, error) {
+	out := &Output{Set: set}
+	r := replay{set: set, out: out, obs: o.Obs, tr: tr}
+	events := 0
+	switch {
+	case o.Source != nil && tr != nil:
+		return nil, fmt.Errorf("sim: both a materialised trace and a stream source supplied")
+	case o.Source != nil && o.Prepass != nil:
+		return nil, fmt.Errorf("sim: a prepass cannot drive a streamed replay")
+	case o.Source != nil:
+		s, err := o.Source.Open()
+		if err != nil {
+			return nil, fmt.Errorf("sim: opening trace stream: %w", err)
+		}
+		defer s.Close()
+		r.s = s
+		out.Program, out.BaseCycles, out.TotalWrites = s.Program, s.BaseCycles, s.NumWrites
+		events = int(s.NumEvents)
+	case tr == nil:
+		return nil, fmt.Errorf("sim: nil trace and no stream source")
+	default:
+		out.Program, out.BaseCycles = tr.Program, tr.BaseCycles
+		events = len(tr.Events)
+	}
+	if err := fault.Inject(fault.SiteSimReplay, out.Program); err != nil {
+		return nil, fmt.Errorf("sim: replaying %s: %w", out.Program, err)
+	}
+
+	n := len(set.Sessions)
+	shards := o.Shards
+	if w := runtime.GOMAXPROCS(0); shards == 0 && tr != nil && w > 1 && n >= ShardThreshold {
+		shards = w
+	}
+	shards = max(1, min(shards, n))
+	if o.Obs != nil {
+		name := "replay-sequential"
+		if r.s != nil {
+			name = "replay-stream"
+		} else if shards > 1 {
+			name = "replay-sharded"
+		}
+		sp := o.Obs.StartSpan(name)
+		sp.Attr("program", out.Program)
+		sp.Int("sessions", int64(n))
+		sp.Int("events", int64(events))
+		sp.Int("shards", int64(shards))
+		start := time.Now()
+		defer func() {
+			if secs := time.Since(start).Seconds(); secs > 0 {
+				sp.Float("events_per_sec", float64(events)/secs)
+			}
+			sp.End()
+		}()
+	}
+	if tr != nil {
+		pp, err := ensurePrepass(tr, o.Prepass, o.Obs)
+		if err != nil {
+			return nil, err
+		}
+		r.pp, out.TotalWrites = pp, pp.TotalWrites
+	}
+
+	out.PerSession = make([]Counting, n)
+	if n > 0 {
+		if r.s != nil && shards > 1 {
+			r.feeds, r.free = newPipeline(shards)
+		}
+		if err := r.fanOut(shards); err != nil {
+			return nil, fmt.Errorf("sim: streaming %s: %w", out.Program, err)
+		}
+	}
+	finishCounters(out.PerSession, out.TotalWrites)
+	return out, nil
 }
 
 // ensurePrepass returns pp when supplied (after checking it matches
@@ -204,39 +238,78 @@ func ensurePrepass(tr *trace.Trace, pp *Prepass, obs *obsv.Tracer) (*Prepass, er
 	return Prepare(tr)
 }
 
-func sequential(tr *trace.Trace, set *sessions.Set, obs *obsv.Tracer, pp *Prepass) (*Output, error) {
-	if err := fault.Inject(fault.SiteSimReplay, tr.Program); err != nil {
-		return nil, fmt.Errorf("sim: replaying %s: %w", tr.Program, err)
+// replay is one RunWithOptions call as its shards see it: the session
+// set, the output whose PerSession they fill, and one of the two
+// front-ends. It is passed by value, so the inline one-shard pass
+// allocates nothing beyond the front-end's own tables.
+type replay struct {
+	set *sessions.Set
+	out *Output
+	obs *obsv.Tracer
+	// The in-memory front-end: the trace and its prepass.
+	tr *trace.Trace
+	pp *Prepass
+	// The streamed front-end: the open stream and, with several
+	// shards, the decoder's per-shard feeds and free block list.
+	s     *trace.Stream
+	feeds []chan *sharedBlock
+	free  chan *sharedBlock
+}
+
+// fanOut replays every shard's contiguous session range — the first
+// n%shards shards take one extra session — and returns the decode
+// error, if any. One shard runs inline on the calling goroutine; with
+// several, each runs on its own goroutine while the calling goroutine
+// runs the streamed decoder that feeds them.
+func (r replay) fanOut(shards int) error {
+	n := len(r.set.Sessions)
+	if shards == 1 {
+		return r.shard(0, 0, int32(n))
 	}
-	var start time.Time
-	if obs != nil {
-		sp := obs.StartSpan("replay-sequential")
-		sp.Attr("program", tr.Program)
-		sp.Int("sessions", int64(len(set.Sessions)))
-		sp.Int("events", int64(len(tr.Events)))
-		start = time.Now()
-		defer func() {
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				sp.Float("events_per_sec", float64(len(tr.Events))/secs)
-			}
-			sp.End()
+	var wg sync.WaitGroup
+	wg.Add(shards)
+	for k := 0; k < shards; k++ {
+		lo, hi := int32(k*n/shards), int32((k+1)*n/shards)
+		go func() {
+			defer wg.Done()
+			r.shard(k, lo, hi)
 		}()
 	}
-	pp, err := ensurePrepass(tr, pp, obs)
-	if err != nil {
-		return nil, err
+	var err error
+	if r.s != nil {
+		err = r.decode(r.broadcast)
+		for _, f := range r.feeds {
+			close(f)
+		}
 	}
-	out := &Output{
-		Program:     tr.Program,
-		BaseCycles:  tr.BaseCycles,
-		TotalWrites: pp.TotalWrites,
-		PerSession:  make([]Counting, len(set.Sessions)),
-		Set:         set,
+	wg.Wait()
+	return err
+}
+
+// shard replays sessions [lo, hi) into their slice of PerSession, under
+// a per-shard span when observed.
+func (r replay) shard(k int, lo, hi int32) error {
+	var sp obsv.Span
+	if r.obs != nil {
+		name := "replay-shard"
+		if r.s != nil {
+			name = "replay-stream-shard"
+		}
+		sp = r.obs.StartSpan(name)
+		sp.Attr("program", r.out.Program)
+		sp.Attr("sessions", strconv.Itoa(int(lo))+".."+strconv.Itoa(int(hi)))
 	}
-	var pages [2]pageTab
-	replayRange(tr, set, pp, 0, int32(len(set.Sessions)), out.PerSession, &pages)
-	finishCounters(out.PerSession, pp.TotalWrites)
-	return out, nil
+	per := r.out.PerSession[lo:hi]
+	if r.s == nil {
+		var pages [2]pageTab
+		replayRange(r.tr, r.set, r.pp, lo, hi, per, &pages)
+		sp.End()
+		return nil
+	}
+	skipped, err := r.streamShard(k, lo, hi, per)
+	sp.Int("skipped_blocks", int64(skipped))
+	sp.End()
+	return err
 }
 
 // finishCounters derives the counters that fall out of closed-form
@@ -268,94 +341,8 @@ func finishCounters(per []Counting, totalWrites uint64) {
 	}
 }
 
-// Sharded replays the trace against the session set using `shards`
-// concurrent workers, each owning a contiguous range of session
-// indices.
-//
-// All workers share the immutable prepass (write resolution + dense
-// page remap); each maintains arena-backed page tables and counting
-// variables for its own sessions only, so the total page-multiset work
-// across workers matches the sequential engine's. Workers write into
-// disjoint subslices of PerSession; no locks are needed and the merge
-// is a no-op.
-//
-// Results are bit-identical to Sequential for every shard count,
-// because each session's counters are accumulated by exactly one worker
-// in full trace order. shards is clamped to [1, len(set.Sessions)].
-func Sharded(tr *trace.Trace, set *sessions.Set, shards int) (*Output, error) {
-	return sharded(tr, set, shards, nil, nil)
-}
-
-func sharded(tr *trace.Trace, set *sessions.Set, shards int, obs *obsv.Tracer, pp *Prepass) (*Output, error) {
-	if err := fault.Inject(fault.SiteSimReplay, tr.Program); err != nil {
-		return nil, fmt.Errorf("sim: replaying %s: %w", tr.Program, err)
-	}
-	n := len(set.Sessions)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	var start time.Time
-	if obs != nil {
-		sp := obs.StartSpan("replay-sharded")
-		sp.Attr("program", tr.Program)
-		sp.Int("sessions", int64(n))
-		sp.Int("events", int64(len(tr.Events)))
-		sp.Int("shards", int64(shards))
-		start = time.Now()
-		defer func() {
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				sp.Float("events_per_sec", float64(len(tr.Events))/secs)
-			}
-			sp.End()
-		}()
-	}
-	pp, err := ensurePrepass(tr, pp, obs)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", tr.Program, err)
-	}
-	out := &Output{
-		Program:     tr.Program,
-		BaseCycles:  tr.BaseCycles,
-		TotalWrites: pp.TotalWrites,
-		PerSession:  make([]Counting, n),
-		Set:         set,
-	}
-	if n == 0 {
-		return out, nil
-	}
-
-	var wg sync.WaitGroup
-	for k := 0; k < shards; k++ {
-		// Even split: the first n%shards shards take one extra session.
-		lo := int32(k * n / shards)
-		hi := int32((k + 1) * n / shards)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int32) {
-			defer wg.Done()
-			if obs != nil {
-				sp := obs.StartSpan("replay-shard")
-				sp.Attr("program", tr.Program)
-				sp.Attr("sessions", strconv.Itoa(int(lo))+".."+strconv.Itoa(int(hi)))
-				defer sp.End()
-			}
-			var pages [2]pageTab
-			replayRange(tr, set, pp, lo, hi, out.PerSession[lo:hi], &pages)
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	finishCounters(out.PerSession, pp.TotalWrites)
-	return out, nil
-}
-
-// replayRange is the flat replay core shared by both engines: it
-// replays the full event stream for the sessions in [lo, hi),
+// replayRange is the in-memory front-end's shard: it replays the
+// shared prepassed event stream for the sessions in [lo, hi),
 // accumulating into per (the PerSession subslice for that range;
 // per[0] is session lo) and the caller-owned page tables. pp is the
 // immutable trace prepass; the core performs no hashing and no

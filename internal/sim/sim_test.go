@@ -61,7 +61,7 @@ func TestHandTraceCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := sessions.Discover(tr)
-	out, err := Run(tr, set)
+	out, err := RunWithOptions(tr, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPageTransitionsMultiObject(t *testing.T) {
 	ev(trace.EvRemove, h2, 0x1000010, 0x1000018)
 
 	set := sessions.Discover(tr)
-	out, err := Run(tr, set)
+	out, err := RunWithOptions(tr, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestMonitorSpanningPages(t *testing.T) {
 		{Kind: trace.EvRemove, Obj: g, BA: ba, EA: ba + 16},
 	}
 	set := sessions.Discover(tr)
-	out, err := Run(tr, set)
+	out, err := RunWithOptions(tr, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMonitorSpanningPages(t *testing.T) {
 func TestFilterZeroHit(t *testing.T) {
 	tr, _, _ := handTrace()
 	set := sessions.Discover(tr)
-	out, _ := Run(tr, set)
+	out, _ := RunWithOptions(tr, set, Options{})
 	keep := out.FilterZeroHit()
 	for _, i := range keep {
 		if out.PerSession[i].Hits == 0 {
@@ -237,7 +237,7 @@ func TestEndToEndFromMiniC(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := sessions.Discover(tr)
-	out, err := Run(tr, set)
+	out, err := RunWithOptions(tr, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

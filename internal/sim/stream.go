@@ -1,47 +1,58 @@
 package sim
 
-// Streaming replay over the columnar trace store (trace format v3).
+// The streamed front-end: replay over the columnar trace store (trace
+// format v3), block by block, never holding []trace.Event.
 //
-// runStreamed (RunWithOptions with Options.Source set) replays a v3
-// trace file block by block, never holding []trace.Event: a single
-// decode pass reads the file once, decoding the install/remove columns
-// of every block and — the fast path — skipping the *write columns* of
-// any block whose written-page summary cannot intersect the pages any
-// monitored session lives on. With one shard the decode pass and the
-// replay are the same loop; with several, decoded blocks fan out to
-// the shard workers through a bounded pipeline (pipeline.go), and each
-// worker re-applies the skip test against its own narrower member-page
-// set. (Skipping whole blocks would never fire on real workloads:
-// locals churn on every call, so every block holds install/remove
-// events.)
+// The source is opened once and read by a single decode pass
+// (replay.decode). With one shard the decode loop calls that shard's
+// worker directly; with several, each decoded block is copied into a
+// refcounted shared buffer drawn from a small free list and fanned out
+// to every shard's bounded channel, and the last shard to finish a
+// block returns its buffer — so at most pipelineDepth blocks are ever
+// in flight and the memory ceiling is independent of the file.
 //
-// Why skipping write columns is sound, bit for bit (the full argument
-// is DESIGN.md §12; the property suite re-proves it empirically):
+// A shard has no prepass to lean on, so its worker keeps incremental
+// word-ownership and dense page tables, for member objects only.
+//
+// Block skip (memberPages) elides the write columns of any block whose
+// written-page summary cannot intersect the pages a monitored session
+// lives on. It fires at two levels: the decoder tests the full session
+// set and skips DecodeWrites, and with several shards each worker tests
+// its own narrower set and skips replaying the writes. (Skipping whole
+// blocks would never fire on real workloads: locals churn on every
+// call, so every block holds install/remove events.)
+//
+// Why skipping writes is sound, bit for bit (the full argument is
+// DESIGN.md §12; the property suite re-proves it empirically):
 //
 //   - Monitored state only ever enters a page through an install event
-//     with non-empty session membership, and the worker tracks the set
-//     of 4 KiB pages spanned by member installs/removes seen so far
-//     (memberPages), *including the current block's own*, before
-//     deciding — so the set is a superset of every page that holds or
-//     will hold an entry while this block's writes execute.
+//     with non-empty session membership, and the member-page set grows
+//     with every member install/remove seen so far, *including the
+//     current block's own*, before deciding — so it is a superset of
+//     every page that holds or will hold an entry while this block's
+//     writes execute.
 //
 //   - A skipped write can't be a monitor hit: a hit needs its word
 //     owned by a live member object, which requires a member install
-//     covering that word — putting the write's page in memberPages and
-//     the block's summary in intersection.
+//     covering that word — putting the write's page in the set and the
+//     block's summary in intersection.
 //
 //   - A skipped write can't change VMActivePageMiss: per-page write
 //     counters (pageTab wtotal) only matter relative to the base
 //     snapshot taken when a member entry is created, and interval
 //     credit is wtotal − base. Writes to a page before its first
-//     member install are absorbed into base; the streaming engine
+//     member install are absorbed into base; the streamed worker
 //     simply never counts them on either side of the subtraction, so
 //     the credit is identical.
 //
-//   - 8 KiB exactness: memberPages also contains the 4 KiB buddy of
-//     every member page (pn ^ 1), so a write to the other half of a
+//   - 8 KiB exactness: the set also contains the 4 KiB buddy of every
+//     member page (pn ^ 1), so a write to the other half of a
 //     monitored 8 KiB page is never skipped and its 8 KiB wtotal bump
 //     is preserved.
+//
+//   - Two levels: a shard's sessions are a subset of the full set, so
+//     its member pages are a subset of the decoder's, and a block the
+//     decoder skips is one every shard's own test skips too.
 //
 // The summary itself is conservative by construction (writer
 // summarises the actual write pages; bloom filters only
@@ -52,130 +63,186 @@ package sim
 // trace.Stream; only decode and replay work is elided.
 
 import (
-	"fmt"
-	"strconv"
-	"time"
+	"sync/atomic"
 
 	"edb/internal/arch"
-	"edb/internal/fault"
 	"edb/internal/objects"
-	"edb/internal/obsv"
 	"edb/internal/sessions"
 	"edb/internal/trace"
 )
 
-// StreamOptions parameterises RunStream.
-//
-// Deprecated: use Options — Shards/NoSkip/Obs carry over field for
-// field, with the source moving into Options.Source.
-type StreamOptions struct {
-	// Shards is the worker count: each worker owns a contiguous
-	// session-index range; all workers consume one shared decode pass
-	// over the file. <= 1 replays single-pass on the calling goroutine;
-	// values above the session count are clamped.
-	Shards int
-	// NoSkip disables the block-skip fast path: every block's write
-	// columns are decoded and replayed. Results are bit-identical with
-	// and without skipping (the differential suite holds RunStream to
-	// that); NoSkip exists as the oracle's slow half and for measuring
-	// the skip win.
-	NoSkip bool
-	// Obs, when non-nil, receives replay spans (one per worker, with
-	// block/skip counts) exactly like the in-memory engines' Options.
-	Obs *obsv.Tracer
-}
+// pipelineDepth is the free-list size: the number of decoded blocks
+// that may be in flight at once. Deep enough to keep workers busy
+// while the decoder reads ahead, shallow enough that peak memory stays
+// a few block-buffers regardless of trace size.
+const pipelineDepth = 8
 
-// RunStream replays a v3 trace from src against the session set,
-// streaming blocks instead of materialising events. Output is
-// bit-identical to Run on the materialised trace.
-//
-// Deprecated: use RunWithOptions(nil, set, Options{Source: src, ...});
-// this shim forwards to it.
-func RunStream(src trace.StreamSource, set *sessions.Set, o StreamOptions) (*Output, error) {
-	return RunWithOptions(nil, set, Options{
-		Shards: o.Shards,
-		Source: src,
-		NoSkip: o.NoSkip,
-		Obs:    o.Obs,
-	})
-}
-
-// runStreamed is the streamed replay engine behind RunWithOptions: it
-// opens the source exactly once and replays block by block, skipping
-// write columns of blocks that provably cannot touch monitored pages
-// (see the package comment above; disable with Options.NoSkip). With
-// shards > 1 a single decode pass fans decoded blocks out to every
-// shard worker through a bounded pipeline (pipeline.go) instead of
-// each worker re-reading the file.
-func runStreamed(src trace.StreamSource, set *sessions.Set, o Options) (*Output, error) {
-	s, err := src.Open()
-	if err != nil {
-		return nil, fmt.Errorf("sim: opening trace stream: %w", err)
-	}
-	if err := fault.Inject(fault.SiteSimReplay, s.Program); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("sim: replaying %s: %w", s.Program, err)
-	}
-	n := len(set.Sessions)
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	out := &Output{
-		Program:     s.Program,
-		BaseCycles:  s.BaseCycles,
-		TotalWrites: s.NumWrites,
-		PerSession:  make([]Counting, n),
-		Set:         set,
-	}
-	var start time.Time
-	if o.Obs != nil {
-		sp := o.Obs.StartSpan("replay-stream")
-		sp.Attr("program", s.Program)
-		sp.Int("sessions", int64(n))
-		sp.Int("events", int64(s.NumEvents))
-		sp.Int("blocks", int64(s.NumBlocks))
-		sp.Int("shards", int64(shards))
-		events := s.NumEvents
-		start = time.Now()
-		defer func() {
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				sp.Float("events_per_sec", float64(events)/secs)
-			}
-			sp.End()
-		}()
-	}
-	if n == 0 {
-		s.Close()
-		return out, nil
-	}
-
-	if shards <= 1 {
-		defer s.Close()
-		skipped, err := replayStream(s, set, 0, int32(n), out.PerSession, !o.NoSkip)
-		if o.Obs != nil {
-			sp := o.Obs.StartSpan("replay-stream-shard")
-			sp.Attr("program", s.Program)
-			sp.Attr("sessions", "0.."+strconv.Itoa(n))
-			sp.Int("skipped_blocks", int64(skipped))
-			sp.End()
-		}
+// decode is the single decode pass over the stream: it reads and
+// CRC-checks every block once, decodes its write columns unless the
+// full session set's member pages rule them out, and hands the block to
+// deliver.
+func (r replay) decode(deliver func(*trace.BlockSummary, *trace.Block)) error {
+	sp := r.obs.StartSpan("replay-stream-decode")
+	defer sp.End()
+	sp.Attr("program", r.out.Program)
+	sp.Int("blocks", int64(r.s.NumBlocks))
+	all := newSessionRange(r.set, 0, int32(len(r.set.Sessions)))
+	pages := newMemberPages()
+	skipped := 0
+	for r.s.Next() {
+		sum := r.s.Summary()
+		blk, err := r.s.DecodeIR()
 		if err != nil {
-			return nil, fmt.Errorf("sim: streaming %s: %w", out.Program, err)
+			return err
 		}
-		finishCounters(out.PerSession, out.TotalWrites)
-		return out, nil
+		if pages.skips(sum, blk, &all) {
+			skipped++
+		} else if err := r.s.DecodeWrites(); err != nil {
+			return err
+		}
+		deliver(sum, blk)
 	}
+	sp.Int("skipped_write_columns", int64(skipped))
+	return r.s.Err()
+}
 
-	defer s.Close()
-	if err := runPipeline(s, set, shards, !o.NoSkip, o.Obs, out); err != nil {
-		return nil, fmt.Errorf("sim: streaming %s: %w", out.Program, err)
+// streamShard replays the stream for sessions [lo, hi) and returns the
+// number of blocks whose writes it skipped. With one shard it is the
+// decode loop itself, calling its one worker directly with no block
+// copy; with several it drains the decoder's feed k.
+func (r replay) streamShard(k int, lo, hi int32, per []Counting) (skipped int, err error) {
+	w := newStreamWorker(r.set, lo, hi, per)
+	if r.feeds == nil {
+		err = r.decode(func(sum *trace.BlockSummary, blk *trace.Block) {
+			skipped += w.consume(sum, blk)
+		})
+	} else {
+		w.skip = newMemberPages()
+		for sb := range r.feeds[k] {
+			skipped += w.consume(&sb.sum, &sb.blk)
+			if sb.refs.Add(-1) == 0 {
+				r.free <- sb
+			}
+		}
 	}
-	finishCounters(out.PerSession, out.TotalWrites)
-	return out, nil
+	w.settle()
+	return skipped, err
+}
+
+// sharedBlock is one decoded block fanned out to all shard workers.
+// refs counts workers still replaying it; the worker that drops it to
+// zero returns the block to the free list for reuse.
+type sharedBlock struct {
+	sum  trace.BlockSummary
+	blk  trace.Block
+	refs atomic.Int32
+}
+
+// newPipeline builds the decoder's bounded fan-out to shards workers:
+// one feed per shard and a free list of pipelineDepth block buffers.
+func newPipeline(shards int) (feeds []chan *sharedBlock, free chan *sharedBlock) {
+	free = make(chan *sharedBlock, pipelineDepth)
+	for i := 0; i < pipelineDepth; i++ {
+		free <- &sharedBlock{}
+	}
+	feeds = make([]chan *sharedBlock, shards)
+	for k := range feeds {
+		feeds[k] = make(chan *sharedBlock, pipelineDepth)
+	}
+	return feeds, free
+}
+
+// broadcast is the decoder's delivery with several shards: it copies
+// the block into a free shared buffer — the stream overwrites its own
+// on the next Next — and queues it on every shard's feed.
+func (r replay) broadcast(sum *trace.BlockSummary, blk *trace.Block) {
+	sb := <-r.free
+	sb.sum = *sum
+	b := &sb.blk
+	b.NEvents, b.NWrites = blk.NEvents, blk.NWrites
+	b.IsWrite = append(b.IsWrite[:0], blk.IsWrite...)
+	b.IRKind = append(b.IRKind[:0], blk.IRKind...)
+	b.IRObj = append(b.IRObj[:0], blk.IRObj...)
+	b.IRBA = append(b.IRBA[:0], blk.IRBA...)
+	b.IREA = append(b.IREA[:0], blk.IREA...)
+	b.WritesDecoded = blk.WritesDecoded
+	b.WrBA = append(b.WrBA[:0], blk.WrBA...)
+	b.WrEA = append(b.WrEA[:0], blk.WrEA...)
+	b.WrPC = append(b.WrPC[:0], blk.WrPC...)
+	sb.refs.Store(int32(len(r.feeds)))
+	for _, f := range r.feeds {
+		f <- sb
+	}
+}
+
+// sessionRange is the contiguous session-index range [lo, hi) one
+// shard owns — the whole set at the decoder — with membership lookups
+// trimmed to it.
+type sessionRange struct {
+	set    *sessions.Set
+	lo, hi int32
+	full   bool
+}
+
+func newSessionRange(set *sessions.Set, lo, hi int32) sessionRange {
+	return sessionRange{set: set, lo: lo, hi: hi, full: lo == 0 && hi == int32(len(set.Sessions))}
+}
+
+// members returns the sessions of the range that contain obj.
+func (r *sessionRange) members(obj objects.ID) []int32 {
+	if r.full {
+		return r.set.Membership(obj)
+	}
+	return r.set.MembershipRange(obj, r.lo, r.hi)
+}
+
+// memberPages is the block-skip test: the monotone set of 4 KiB pages
+// spanned by member installs/removes seen so far, plus each page's
+// 8 KiB buddy. A bitmap over the 20-bit page-number space (128 KiB)
+// makes the insert a bit test, and list keeps the distinct pages
+// enumerable for the per-block intersection.
+type memberPages struct {
+	bits []uint64
+	list []uint32
+}
+
+func newMemberPages() *memberPages {
+	return &memberPages{bits: make([]uint64, (1<<20)/64)}
+}
+
+// skips adds the pages of the block's install/remove events whose
+// object has members in r — before deciding, so installs inside the
+// block are covered — and reports whether the block's writes provably
+// touch none of the set's pages. Iterating list (bounded by the pages
+// monitored objects ever touch) against the constant-time summary test
+// is cheap; the bloom cannot be enumerated in the other direction.
+func (m *memberPages) skips(sum *trace.BlockSummary, blk *trace.Block, r *sessionRange) bool {
+	for j := range blk.IRObj {
+		if len(r.members(blk.IRObj[j])) == 0 {
+			continue
+		}
+		first, last := arch.PagesSpanned(blk.IRBA[j], blk.IREA[j], arch.PageSize4K)
+		for pn := first; pn <= last; pn++ {
+			m.add(pn)
+			m.add(pn ^ 1) // 8 KiB buddy
+		}
+	}
+	if sum.NWrites == 0 {
+		return false
+	}
+	for _, pn := range m.list {
+		if sum.MayContainWritePage(pn) {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *memberPages) add(pn uint32) {
+	if m.bits[pn>>6]&(1<<(pn&63)) == 0 {
+		m.bits[pn>>6] |= 1 << (pn & 63)
+		m.list = append(m.list, pn)
+	}
 }
 
 // wordPage is one 4 KiB page of the worker's word-ownership table,
@@ -184,26 +251,18 @@ func runStreamed(src trace.StreamSource, set *sessions.Set, o Options) (*Output,
 // hit for this worker's sessions, so tracking it would be dead work).
 type wordPage [wordsPerPage]objects.ID
 
-// streamWorker is the per-worker replay state: the same pageTab
-// machinery as the in-memory engines, addressed through a dynamic
-// raw-page → dense-index map grown as member pages appear (a streaming
-// pass has no prepass remap to lean on).
+// streamWorker is one shard's replay state: the same pageTab machinery
+// as the in-memory front-end, addressed through a dynamic raw-page →
+// dense-index map grown as member pages appear.
 type streamWorker struct {
-	set     *sessions.Set
-	lo, hi  int32
-	full    bool
+	sessionRange
 	per     []Counting
 	pages   [2]pageTab
 	pageIdx [2]map[uint32]int32
 	words   map[uint32]*wordPage
-	// memberPages is the monotone set of 4 KiB pages spanned by member
-	// install/remove events seen so far, plus each page's 8 KiB buddy;
-	// the skip test intersects block summaries against it. A bitmap
-	// over the 20-bit page-number space (128 KiB per worker) makes the
-	// once-per-IR-event insert a bit test, and memberList keeps the
-	// distinct pages enumerable for the per-block intersection.
-	memberBits []uint64
-	memberList []uint32
+	// skip is the worker's own block-skip test over its narrower
+	// range; nil for a single shard, whose range is the decoder's.
+	skip *memberPages
 
 	// Last-written-page cache: consecutive writes overwhelmingly land
 	// on the page of the previous write, so replayWrite caches that
@@ -216,49 +275,31 @@ type streamWorker struct {
 	wrPi      [2]int32 // dense index per page size, -1 = absent
 }
 
-// markMember adds page pn to the member set (no-op if present).
-func (w *streamWorker) markMember(pn uint32) {
-	if w.memberBits[pn>>6]&(1<<(pn&63)) == 0 {
-		w.memberBits[pn>>6] |= 1 << (pn & 63)
-		w.memberList = append(w.memberList, pn)
-	}
-}
-
 // newStreamWorker builds the replay state for sessions [lo, hi)
-// accumulating into per. skip sizes the member-page bitmap; without it
-// the worker never consults member pages.
-func newStreamWorker(set *sessions.Set, lo, hi int32, per []Counting, skip bool) *streamWorker {
+// accumulating into per, without a skip test of its own.
+func newStreamWorker(set *sessions.Set, lo, hi int32, per []Counting) *streamWorker {
 	w := &streamWorker{
-		set:     set,
-		lo:      lo,
-		hi:      hi,
-		full:    lo == 0 && hi == int32(len(set.Sessions)),
-		per:     per,
-		pageIdx: [2]map[uint32]int32{make(map[uint32]int32), make(map[uint32]int32)},
-		words:   make(map[uint32]*wordPage),
+		sessionRange: newSessionRange(set, lo, hi),
+		per:          per,
+		pageIdx:      [2]map[uint32]int32{make(map[uint32]int32), make(map[uint32]int32)},
+		words:        make(map[uint32]*wordPage),
 	}
 	for psi := range w.pages {
 		w.pages[psi].init(0)
 	}
-	if skip {
-		w.memberBits = make([]uint64, (1<<20)/64) // 20-bit page numbers
-	}
 	return w
 }
 
-// extendMembers grows memberPages with the block's member IR spans.
-// Called *before* the skip decision, so mid-block installs are covered.
-func (w *streamWorker) extendMembers(blk *trace.Block) {
-	for j := range blk.IRObj {
-		if len(w.membership(blk.IRObj[j])) == 0 {
-			continue
-		}
-		first, last := arch.PagesSpanned(blk.IRBA[j], blk.IREA[j], arch.PageSize4K)
-		for pn := first; pn <= last; pn++ {
-			w.markMember(pn)
-			w.markMember(pn ^ 1) // 8 KiB buddy
-		}
+// consume replays one decoded block for the worker's sessions and
+// returns 1 when its writes were skipped — by the worker's own test or
+// already by the decoder's.
+func (w *streamWorker) consume(sum *trace.BlockSummary, blk *trace.Block) int {
+	if (w.skip != nil && w.skip.skips(sum, blk, &w.sessionRange)) || !blk.WritesDecoded {
+		w.replayIROnly(blk)
+		return 1
 	}
+	w.replayBlock(blk)
+	return 0
 }
 
 // settle closes every open page interval into the worker's counters.
@@ -266,58 +307,6 @@ func (w *streamWorker) settle() {
 	for psi := range w.pages {
 		w.pages[psi].settle(w.per, w.lo, psi)
 	}
-}
-
-// replayStream replays one stream for sessions [lo, hi), accumulating
-// into per, and returns the number of blocks whose write columns were
-// skipped.
-func replayStream(s *trace.Stream, set *sessions.Set, lo, hi int32, per []Counting, skip bool) (int, error) {
-	w := newStreamWorker(set, lo, hi, per, skip)
-	skipped := 0
-	for s.Next() {
-		sum := s.Summary()
-		blk, err := s.DecodeIR()
-		if err != nil {
-			return skipped, err
-		}
-		if skip {
-			w.extendMembers(blk)
-			if sum.NWrites > 0 && !w.intersects(sum) {
-				skipped++
-				w.replayIROnly(blk)
-				continue
-			}
-		}
-		if err := s.DecodeWrites(); err != nil {
-			return skipped, err
-		}
-		w.replayBlock(blk)
-	}
-	if err := s.Err(); err != nil {
-		return skipped, err
-	}
-	w.settle()
-	return skipped, nil
-}
-
-func (w *streamWorker) membership(obj objects.ID) []int32 {
-	if w.full {
-		return w.set.Membership(obj)
-	}
-	return w.set.MembershipRange(obj, w.lo, w.hi)
-}
-
-// intersects reports whether the block summary may cover any member
-// page. Iterating memberList (bounded by the pages monitored objects
-// ever touch) against the constant-time summary test is cheap; the
-// bloom cannot be enumerated in the other direction.
-func (w *streamWorker) intersects(sum *trace.BlockSummary) bool {
-	for _, pn := range w.memberList {
-		if sum.MayContainWritePage(pn) {
-			return true
-		}
-	}
-	return false
 }
 
 // densePage returns (creating on first touch) the dense page-table
@@ -362,7 +351,7 @@ func (w *streamWorker) replayBlock(blk *trace.Block) {
 // are bit-identical; only the page addressing (dynamic map instead of
 // prepass remap) differs.
 func (w *streamWorker) replayIREvent(kind trace.EventKind, obj objects.ID, ba, ea arch.Addr) {
-	members := w.membership(obj)
+	members := w.members(obj)
 	if len(members) == 0 {
 		return
 	}
@@ -437,7 +426,7 @@ func (w *streamWorker) replayWrite(ba arch.Addr) {
 	}
 	if pg := w.wrWords; pg != nil {
 		if obj := pg[(ba%4096)/4]; obj != 0 {
-			for _, sess := range w.membership(obj) {
+			for _, sess := range w.members(obj) {
 				w.per[sess-w.lo].Hits++
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"edb/internal/fault"
@@ -19,10 +20,51 @@ import (
 func v3Source(t testing.TB, tr *trace.Trace, blockEvents int) trace.StreamSource {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, blockEvents); err != nil {
+	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: blockEvents}); err != nil {
 		t.Fatal(err)
 	}
 	return trace.BytesSource(buf.Bytes())
+}
+
+// streamed replays src through the streamed front-end with the given
+// shard count.
+func streamed(src trace.StreamSource, set *sessions.Set, shards int) (*Output, error) {
+	return RunWithOptions(nil, set, Options{Source: src, Shards: shards})
+}
+
+// spanInts returns the integer attribute key of every recorded span
+// named span, in completion order.
+func spanInts(t *testing.T, obs *obsv.Tracer, span, key string) []int64 {
+	t.Helper()
+	var out []int64
+	for _, r := range obs.Records() {
+		if r.Kind != obsv.KindSpan || r.Name != span {
+			continue
+		}
+		for _, kv := range r.Attrs {
+			if kv.Key == key {
+				v, err := strconv.ParseInt(kv.Val, 10, 64)
+				if err != nil {
+					t.Fatalf("%s.%s = %q: %v", span, key, kv.Val, err)
+				}
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// oneHeapSet returns the session set watching only the first
+// single-heap-object session of full.
+func oneHeapSet(t *testing.T, full *sessions.Set) *sessions.Set {
+	t.Helper()
+	for _, s := range full.Sessions {
+		if s.Type == sessions.OneHeap {
+			return sessions.NewSet([]sessions.Session{s}, full.NumObjects())
+		}
+	}
+	t.Fatal("no OneHeap session discovered")
+	return nil
 }
 
 // randomSubset picks a random subset of the discovered sessions — the
@@ -40,11 +82,11 @@ func randomSubset(rng *rand.Rand, set *sessions.Set) *sessions.Set {
 
 // TestStreamDifferential is the central property of the streaming
 // engine: for random traces × random session subsets, streamed replay
-// with block skipping ≡ streamed without skipping ≡ the in-memory
-// engine — all counters bit-identical — across block sizes and shard
-// counts. The in-memory side is itself pinned to the naive per-session
-// oracle by TestOnePassMatchesNaiveOracle, so this transitively anchors
-// the whole v3 path to first principles.
+// (block skip always on) ≡ the in-memory engine — all counters
+// bit-identical — across block sizes and shard counts. The in-memory
+// side is itself pinned to the naive per-session oracle by
+// TestOnePassMatchesNaiveOracle, so this transitively anchors the whole
+// v3 path to first principles.
 func TestStreamDifferential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		tr := checkedTrace(t, seed, 1500)
@@ -52,24 +94,22 @@ func TestStreamDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 31))
 		sets := []*sessions.Set{full, randomSubset(rng, full), randomSubset(rng, full)}
 		for si, set := range sets {
-			want, err := Sequential(tr, set)
+			want, err := sequential(tr, set)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantHash := canonicalHash(want)
 			for _, be := range []int{1, 16, 301, trace.DefaultBlockEvents} {
 				src := v3Source(t, tr, be)
-				for _, noskip := range []bool{false, true} {
-					for _, shards := range shardCounts() {
-						got, err := RunStream(src, set, StreamOptions{Shards: shards, NoSkip: noskip})
-						if err != nil {
-							t.Fatalf("seed %d set %d be=%d noskip=%v shards=%d: %v",
-								seed, si, be, noskip, shards, err)
-						}
-						if h := canonicalHash(got); h != wantHash {
-							t.Fatalf("seed %d set %d be=%d noskip=%v shards=%d: stream hash %s != in-memory %s",
-								seed, si, be, noskip, shards, h, wantHash)
-						}
+				for _, shards := range shardCounts() {
+					got, err := streamed(src, set, shards)
+					if err != nil {
+						t.Fatalf("seed %d set %d be=%d shards=%d: %v",
+							seed, si, be, shards, err)
+					}
+					if h := canonicalHash(got); h != wantHash {
+						t.Fatalf("seed %d set %d be=%d shards=%d: stream hash %s != in-memory %s",
+							seed, si, be, shards, h, wantHash)
 					}
 				}
 			}
@@ -77,30 +117,27 @@ func TestStreamDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamBlockSizeInvariance is the metamorphic relation from the
-// issue: re-blocking a workload trace (1-event blocks up to 64Ki) must
-// not change a single counter, with and without skipping.
+// TestStreamBlockSizeInvariance is the metamorphic relation: re-blocking
+// a workload trace (1-event blocks up to 64Ki) must not change a single
+// counter.
 func TestStreamBlockSizeInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traces a benchmark workload; skipped in -short")
 	}
 	tr := workloadTrace(t, "bps")
 	set := sessions.Discover(tr)
-	want, err := Sequential(tr, set)
+	want, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantHash := canonicalHash(want)
 	for _, be := range []int{1, 1 << 10, 8192, 1 << 15, 1 << 16} {
-		src := v3Source(t, tr, be)
-		for _, noskip := range []bool{false, true} {
-			got, err := RunStream(src, set, StreamOptions{Shards: 4, NoSkip: noskip})
-			if err != nil {
-				t.Fatalf("be=%d noskip=%v: %v", be, noskip, err)
-			}
-			if h := canonicalHash(got); h != wantHash {
-				t.Fatalf("be=%d noskip=%v: hash %s != %s", be, noskip, h, wantHash)
-			}
+		got, err := streamed(v3Source(t, tr, be), set, 4)
+		if err != nil {
+			t.Fatalf("be=%d: %v", be, err)
+		}
+		if h := canonicalHash(got); h != wantHash {
+			t.Fatalf("be=%d: hash %s != %s", be, h, wantHash)
 		}
 	}
 }
@@ -115,12 +152,11 @@ func TestStreamAllWorkloads(t *testing.T) {
 	for _, name := range progs.Names() {
 		tr := workloadTrace(t, name)
 		set := sessions.Discover(tr)
-		want, err := Sequential(tr, set)
+		want, err := sequential(tr, set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := v3Source(t, tr, 0)
-		got, err := RunStream(src, set, StreamOptions{Shards: 4})
+		got, err := streamed(v3Source(t, tr, 0), set, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -138,45 +174,99 @@ func TestStreamSparseSubset(t *testing.T) {
 		t.Skip("traces a benchmark workload; skipped in -short")
 	}
 	tr := workloadTrace(t, "bps")
-	full := sessions.Discover(tr)
-	var one []sessions.Session
-	for _, s := range full.Sessions {
-		if s.Type == sessions.OneHeap {
-			one = append(one, s)
-			break
-		}
-	}
-	if len(one) == 0 {
-		t.Fatal("no OneHeap session discovered")
-	}
-	set := sessions.NewSet(one, full.NumObjects())
-	want, err := Sequential(tr, set)
+	set := oneHeapSet(t, sessions.Discover(tr))
+	want, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 1024); err != nil {
-		t.Fatal(err)
-	}
-	src := trace.BytesSource(buf.Bytes())
-	s, err := src.Open()
+	obs := obsv.NewTracer(64)
+	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 1024), Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := replayStream(s, set, 0, int32(len(set.Sessions)),
-		make([]Counting, len(set.Sessions)), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped == 0 {
-		t.Fatal("sparse one-session set skipped zero blocks — the fast path never fires")
-	}
-	got, err := RunStream(src, set, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if skipped := spanInts(t, obs, "replay-stream-shard", "skipped_blocks"); len(skipped) != 1 || skipped[0] == 0 {
+		t.Fatalf("sparse one-session set skipped %v blocks — the fast path never fires", skipped)
 	}
 	if canonicalHash(got) != canonicalHash(want) {
 		t.Fatal("skipping replay diverged from in-memory on sparse set")
+	}
+}
+
+// TestStreamSingleHeapSkipsAlmostAll pins the decoder-level skip where
+// it pays: a single-heap watch on spice touches a handful of pages, so
+// at the default blocking at least 90 of the trace's 94 blocks keep
+// their write columns undecoded — and the counters stay bit-identical
+// to in-memory replay.
+func TestStreamSingleHeapSkipsAlmostAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces a benchmark workload; skipped in -short")
+	}
+	tr := workloadTrace(t, "spice")
+	set := oneHeapSet(t, sessions.Discover(tr))
+	want, err := sequential(tr, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := obsv.NewTracer(64)
+	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 0), Obs: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := spanInts(t, obs, "replay-stream-decode", "blocks")
+	skipped := spanInts(t, obs, "replay-stream-decode", "skipped_write_columns")
+	if len(skipped) != 1 || skipped[0] < 90 {
+		t.Fatalf("single-heap spice watch skipped %v of %v blocks, want at least 90", skipped, blocks)
+	}
+	if !reflect.DeepEqual(got.PerSession, want.PerSession) {
+		t.Fatal("skipping replay diverged from in-memory on the single-heap spice watch")
+	}
+}
+
+// TestStreamShardLevelSkip pins the second skip level: on a sparse bps
+// set (every 100th single-heap session) the full set's member pages
+// intersect every block, so the decoder skips nothing, yet some shard's
+// narrower set still skips replaying writes — and the four shards
+// together stay bit-identical to in-memory replay.
+func TestStreamShardLevelSkip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces a benchmark workload; skipped in -short")
+	}
+	tr := workloadTrace(t, "bps")
+	full := sessions.Discover(tr)
+	var sub []sessions.Session
+	oneHeap := 0
+	for _, s := range full.Sessions {
+		if s.Type != sessions.OneHeap {
+			continue
+		}
+		if oneHeap%100 == 0 {
+			sub = append(sub, s)
+		}
+		oneHeap++
+	}
+	set := sessions.NewSet(sub, full.NumObjects())
+	want, err := sequential(tr, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := obsv.NewTracer(64)
+	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 0), Shards: 4, Obs: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := spanInts(t, obs, "replay-stream-decode", "skipped_write_columns"); len(d) != 1 || d[0] != 0 {
+		t.Errorf("decoder skipped %v blocks on the %d-session set, want 0", d, len(set.Sessions))
+	}
+	shardSkips := spanInts(t, obs, "replay-stream-shard", "skipped_blocks")
+	fired := false
+	for _, n := range shardSkips {
+		fired = fired || n > 0
+	}
+	if len(shardSkips) != 4 || !fired {
+		t.Errorf("shard skip counts %v: want 4 shards, at least one skipping", shardSkips)
+	}
+	if !reflect.DeepEqual(got.PerSession, want.PerSession) {
+		t.Fatal("sharded streamed replay diverged from in-memory on the sparse bps set")
 	}
 }
 
@@ -184,7 +274,7 @@ func TestStreamSparseSubset(t *testing.T) {
 func TestStreamEmptySet(t *testing.T) {
 	tr := checkedTrace(t, 1, 400)
 	set := sessions.NewSet(nil, sessions.Discover(tr).NumObjects())
-	out, err := RunStream(v3Source(t, tr, 32), set, StreamOptions{Shards: 8})
+	out, err := streamed(v3Source(t, tr, 32), set, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,38 +284,38 @@ func TestStreamEmptySet(t *testing.T) {
 }
 
 // TestStreamRejectsCorrupt checks decode errors surface through
-// RunStream from any worker.
+// streamed replay from any worker.
 func TestStreamRejectsCorrupt(t *testing.T) {
 	tr := checkedTrace(t, 2, 400)
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 16); err != nil {
+	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: 16}); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0x10
 	set := sessions.Discover(tr)
-	if _, err := RunStream(trace.BytesSource(data), set, StreamOptions{Shards: 3}); err == nil {
+	if _, err := streamed(trace.BytesSource(data), set, 3); err == nil {
 		t.Fatal("corrupt stream replayed without error")
 	}
-	if _, err := RunStream(trace.BytesSource(data[:8]), set, StreamOptions{}); err == nil {
+	if _, err := streamed(trace.BytesSource(data[:8]), set, 0); err == nil {
 		t.Fatal("truncated stream replayed without error")
 	}
 }
 
-// TestStreamObserved pins StreamOptions.Obs: observation never feeds
-// back (bit-identical counters), and the expected span structure
-// appears — the engine span with its events_per_sec attribute and one
-// span per shard worker carrying the skipped-block count.
+// TestStreamObserved pins Options.Obs on streamed replay: observation
+// never feeds back (bit-identical counters), and the expected span
+// structure appears — the engine span with its events_per_sec attribute
+// and one span per shard worker carrying the skipped-block count.
 func TestStreamObserved(t *testing.T) {
 	tr := checkedTrace(t, 9, 1200)
 	set := sessions.Discover(tr)
-	quiet, err := Sequential(tr, set)
+	quiet, err := sequential(tr, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs := obsv.NewTracer(256)
 	const k = 2
-	got, err := RunStream(v3Source(t, tr, 64), set, StreamOptions{Shards: k, Obs: obs})
+	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 64), Shards: k, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +349,10 @@ func TestStreamFaultInjection(t *testing.T) {
 		Site: fault.SiteSimReplay, Kind: fault.Transient, Times: 1,
 	}))
 	defer fault.Deactivate()
-	if _, err := RunStream(v3Source(t, tr, 64), set, StreamOptions{}); err == nil {
+	if _, err := streamed(v3Source(t, tr, 64), set, 0); err == nil {
 		t.Fatal("injected replay fault not surfaced")
 	}
-	if _, err := RunStream(v3Source(t, tr, 64), set, StreamOptions{}); err != nil {
+	if _, err := streamed(v3Source(t, tr, 64), set, 0); err != nil {
 		t.Fatalf("fault exhausted but replay still fails: %v", err)
 	}
 }
@@ -293,7 +383,7 @@ func TestStreamSingleOpen(t *testing.T) {
 	if len(set.Sessions) < 2 {
 		t.Skip("need >=2 sessions for a second worker")
 	}
-	want, err := Run(tr, set)
+	want, err := RunWithOptions(tr, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

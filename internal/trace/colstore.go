@@ -7,7 +7,7 @@
 // time into reusable buffers, verify each block independently, and —
 // the point of the exercise — *skip decoding* the write columns of any
 // block whose written-page summary cannot intersect the pages a replay
-// engine is monitoring (internal/sim.RunStream).
+// engine is monitoring (internal/sim, streamed replay).
 //
 // Layout ("frame" below = uvarint(len) + crc32-IEEE(4B LE) + payload;
 // every frame is independently checksummed):
@@ -122,7 +122,7 @@ func (s *BlockSummary) MayContainWritePage(pn uint32) bool {
 }
 
 // summarize computes the canonical block summary of an event slice —
-// the single source of truth shared by the writer and BuildBlockIndex.
+// the single source of truth for the writer's summary frames.
 func summarize(events []Event) BlockSummary {
 	var s BlockSummary
 	s.NEvents = len(events)
@@ -148,58 +148,10 @@ func summarize(events []Event) BlockSummary {
 	return s
 }
 
-// BlockIndex is the in-memory block map of a trace under a given
-// blocking: the summaries WriteV3Blocks would emit, computable without
-// serialising. internal/exp caches one per (benchmark, scale) artifact
-// so repeated streaming analyses share the skip metadata.
-type BlockIndex struct {
-	BlockEvents int
-	Blocks      []BlockSummary
-}
-
-// NumBlocks returns the number of blocks in the index.
-func (x *BlockIndex) NumBlocks() int { return len(x.Blocks) }
-
-// BuildBlockIndex computes the trace's block index for the given
-// events-per-block (DefaultBlockEvents when <= 0). The summaries are
-// byte-for-byte the ones WriteV3Blocks emits for the same blocking.
-func (t *Trace) BuildBlockIndex(blockEvents int) *BlockIndex {
-	if blockEvents <= 0 {
-		blockEvents = DefaultBlockEvents
-	}
-	x := &BlockIndex{BlockEvents: blockEvents}
-	for off := 0; off < len(t.Events); off += blockEvents {
-		end := off + blockEvents
-		if end > len(t.Events) {
-			end = len(t.Events)
-		}
-		x.Blocks = append(x.Blocks, summarize(t.Events[off:end]))
-	}
-	return x
-}
-
 // zigzag / unzigzag are the standard signed-varint mappings used by the
 // per-column delta encodings.
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// WriteV3 serialises the trace in the columnar streaming format with
-// the default block size. v1/v2 readers do not read it; OpenStream and
-// Read do.
-//
-// Deprecated: use WriteTo(w, t, WriteOptions{Version: 3}).
-func (t *Trace) WriteV3(w io.Writer) error { return WriteTo(w, t, WriteOptions{Version: version3}) }
-
-// WriteV3Blocks is WriteV3 with an explicit events-per-block
-// (<= 0 selects DefaultBlockEvents). The choice is a pure layout
-// parameter: any blocking decodes to the same trace and replays to the
-// same counters (the metamorphic suite pins this down to 1-event
-// blocks).
-//
-// Deprecated: use WriteTo(w, t, WriteOptions{Version: 3, BlockEvents: n}).
-func (t *Trace) WriteV3Blocks(w io.Writer, blockEvents int) error {
-	return WriteTo(w, t, WriteOptions{Version: version3, BlockEvents: blockEvents})
-}
 
 // Block is one decoded v3 block in columnar form, reused across
 // iterations of one Stream. IR* slices hold the install/remove events
@@ -246,10 +198,9 @@ type StreamSource interface {
 }
 
 // FileSource returns a StreamSource that opens the v3 trace file at
-// path with default windowed readahead; each Open is an independent
-// handle owned (and closed) by the returned Stream. Use FileSourceWith
-// to tune the window or map the file instead (readahead.go).
-func FileSource(path string) StreamSource { return fileSourceOpt{path: path} }
+// path with double-buffered readahead (readahead.go); each Open is an
+// independent handle owned (and closed) by the returned Stream.
+func FileSource(path string) StreamSource { return fileSource(path) }
 
 type bytesSource []byte
 

@@ -13,6 +13,16 @@ import (
 	"edb/internal/objects"
 )
 
+// blockSummaries returns the canonical summary of every blockEvents-event
+// block of events: what the v3 writer must emit for that blocking.
+func blockSummaries(events []Event, blockEvents int) []BlockSummary {
+	var out []BlockSummary
+	for off := 0; off < len(events); off += blockEvents {
+		out = append(out, summarize(events[off:min(off+blockEvents, len(events))]))
+	}
+	return out
+}
+
 // bigTrace builds a multi-block-worthy trace with interleaved installs,
 // removes, and writes across several pages and both address segments.
 func bigTrace(events int) *Trace {
@@ -63,8 +73,8 @@ func TestV3RoundTrip(t *testing.T) {
 	for _, tr := range []*Trace{sampleTrace(), bigTrace(1000)} {
 		for _, be := range []int{1, 2, 3, 7, 64, DefaultBlockEvents} {
 			var buf bytes.Buffer
-			if err := tr.WriteV3Blocks(&buf, be); err != nil {
-				t.Fatalf("%s/be=%d: WriteV3Blocks: %v", tr.Program, be, err)
+			if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: be}); err != nil {
+				t.Fatalf("%s/be=%d: WriteTo: %v", tr.Program, be, err)
 			}
 			got, err := Read(bytes.NewReader(buf.Bytes()))
 			if err != nil {
@@ -88,7 +98,7 @@ func TestV3RoundTrip(t *testing.T) {
 func TestV3RoundTripEmpty(t *testing.T) {
 	tr := &Trace{Program: "empty", Objects: objects.NewTable()}
 	var buf bytes.Buffer
-	if err := tr.WriteV3(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(bytes.NewReader(buf.Bytes()))
@@ -112,12 +122,12 @@ func TestV3RoundTripEmpty(t *testing.T) {
 
 // TestStreamIteration walks sampleTrace at 2 events/block and checks
 // the whole streaming protocol: header totals, per-block summaries
-// matching BuildBlockIndex, idempotent DecodeIR, DecodeWrites without a
+// matching the canonical block summaries, idempotent DecodeIR, DecodeWrites without a
 // prior DecodeIR call, and AppendEvents materialisation.
 func TestStreamIteration(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 2); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenStream(bytes.NewReader(buf.Bytes()))
@@ -128,14 +138,14 @@ func TestStreamIteration(t *testing.T) {
 		t.Fatalf("stream header: %q blocks=%d events=%d writes=%d",
 			s.Program, s.NumBlocks, s.NumEvents, s.NumWrites)
 	}
-	idx := tr.BuildBlockIndex(2)
-	if idx.NumBlocks() != 3 || idx.BlockEvents != 2 {
-		t.Fatalf("BuildBlockIndex: %+v", idx)
+	sums := blockSummaries(tr.Events, 2)
+	if len(sums) != 3 {
+		t.Fatalf("blockSummaries: %+v", sums)
 	}
 	var got []Event
 	for i := 0; s.Next(); i++ {
-		if *s.Summary() != idx.Blocks[i] {
-			t.Fatalf("block %d: stream summary %+v != index %+v", i, *s.Summary(), idx.Blocks[i])
+		if *s.Summary() != sums[i] {
+			t.Fatalf("block %d: stream summary %+v != canonical %+v", i, *s.Summary(), sums[i])
 		}
 		blk, err := s.DecodeIR()
 		if err != nil {
@@ -169,7 +179,7 @@ func TestStreamIteration(t *testing.T) {
 func TestDecodeWritesWithoutIR(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.WriteV3(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenStream(bytes.NewReader(buf.Bytes()))
@@ -200,8 +210,7 @@ func TestDecodeWritesWithoutIR(t *testing.T) {
 // false.
 func TestBlockSummarySemantics(t *testing.T) {
 	tr := bigTrace(500)
-	idx := tr.BuildBlockIndex(64)
-	for bi, sum := range idx.Blocks {
+	for bi, sum := range blockSummaries(tr.Events, 64) {
 		lo, hi := bi*64, (bi+1)*64
 		if hi > len(tr.Events) {
 			hi = len(tr.Events)
@@ -232,7 +241,7 @@ func TestBlockSummarySemantics(t *testing.T) {
 // through Read) and for garbage.
 func TestOpenStreamRejectsNonV3(t *testing.T) {
 	var v2 bytes.Buffer
-	if err := sampleTrace().Write(&v2); err != nil {
+	if err := WriteTo(&v2, sampleTrace(), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenStream(bytes.NewReader(v2.Bytes())); err == nil ||
@@ -259,7 +268,7 @@ func TestFileSource(t *testing.T) {
 	tr := sampleTrace()
 	path := filepath.Join(t.TempDir(), "t.v3.trace")
 	var buf bytes.Buffer
-	if err := tr.WriteV3Blocks(&buf, 2); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -297,10 +306,10 @@ func TestFileSource(t *testing.T) {
 func TestV3Compactness(t *testing.T) {
 	tr := bigTrace(4096)
 	var v2, v3 bytes.Buffer
-	if err := tr.Write(&v2); err != nil {
+	if err := WriteTo(&v2, tr, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteV3(&v3); err != nil {
+	if err := WriteTo(&v3, tr, WriteOptions{Version: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if v3.Len() >= v2.Len() {

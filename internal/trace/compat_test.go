@@ -21,8 +21,8 @@ import (
 // Golden cross-version compatibility: tiny committed fixture files in
 // every on-disk format (v1 legacy, v2 framed rows, v3 columnar blocks)
 // must decode to identical events AND replay to the identical golden
-// SHA-256 — the v3 fixture both materialised through Read and streamed
-// through RunStream. Any codec drift that survives the round-trip
+// SHA-256 — the v3 fixture both materialised through Read and replayed
+// as a stream. Any codec drift that survives the round-trip
 // tests (a re-encoded fixture would hide it) still fails here, because
 // the bytes are frozen in git.
 //
@@ -120,7 +120,7 @@ func replayHash(t *testing.T, out *sim.Output) string {
 func v1Bytes(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var v2 bytes.Buffer
-	if err := tr.Write(&v2); err != nil {
+	if err := trace.WriteTo(&v2, tr, trace.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	b := v2.Bytes()
@@ -140,10 +140,10 @@ func TestCompatFixtures(t *testing.T) {
 	tr := compatTrace()
 	regen := os.Getenv("EDB_REGEN_GOLDEN") != ""
 	var v2, v3 bytes.Buffer
-	if err := tr.Write(&v2); err != nil {
+	if err := trace.WriteTo(&v2, tr, trace.WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteV3Blocks(&v3, 4); err != nil {
+	if err := trace.WriteTo(&v3, tr, trace.WriteOptions{Version: 3, BlockEvents: 4}); err != nil {
 		t.Fatal(err)
 	}
 	fixtures := map[string][]byte{
@@ -153,7 +153,7 @@ func TestCompatFixtures(t *testing.T) {
 	}
 
 	set := sessions.Discover(tr)
-	ref, err := sim.Sequential(tr, set)
+	ref, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCompatFixtures(t *testing.T) {
 		if !reflect.DeepEqual(got.Objects.All(), tr.Objects.All()) {
 			t.Errorf("%s: decoded object table differs", name)
 		}
-		out, err := sim.Sequential(got, sessions.Discover(got))
+		out, err := sim.RunWithOptions(got, sessions.Discover(got), sim.Options{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestCompatFixtures(t *testing.T) {
 	// The v3 fixture must also replay to the golden hash when *streamed*
 	// with block skipping — the fast path can never drift from the
 	// materialised formats.
-	streamed, err := sim.RunStream(trace.BytesSource(fixtures["tiny.v3.trace"]), set, sim.StreamOptions{})
+	streamed, err := sim.RunWithOptions(nil, set, sim.Options{Source: trace.BytesSource(fixtures["tiny.v3.trace"])})
 	if err != nil {
 		t.Fatal(err)
 	}

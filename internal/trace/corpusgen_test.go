@@ -49,7 +49,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 		small := truncateTrace(tr, 48, 256)
 		var buf writerBuf
-		if err := small.Write(&buf); err != nil {
+		if err := trace.WriteTo(&buf, small, trace.WriteOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		entry := "go test fuzz v1\n[]byte(" + strconv.Quote(string(buf.b)) + ")\n"
@@ -62,7 +62,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		// The same truncated trace in the columnar v3 format, blocked
 		// small (64 events/block) so the seed spans several blocks.
 		var v3 writerBuf
-		if err := small.WriteV3Blocks(&v3, 64); err != nil {
+		if err := trace.WriteTo(&v3, small, trace.WriteOptions{Version: 3, BlockEvents: 64}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		entry = "go test fuzz v1\n[]byte(" + strconv.Quote(string(v3.b)) + ")\n"

@@ -82,7 +82,7 @@ func TestReadV1Legacy(t *testing.T) {
 // (magic, version, payload length, CRC32, payload).
 func TestWriteEmitsV2(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleTrace().Write(&buf); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -119,7 +119,7 @@ func TestWriteEmitsV2(t *testing.T) {
 // payload must be caught by the checksum.
 func TestReadRejectsEveryBitFlip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleTrace().Write(&buf); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -215,7 +215,7 @@ func TestReadRejectsInflatedCounts(t *testing.T) {
 // shortfall.
 func TestReadRejectsTruncatedV2(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleTrace().Write(&buf); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -318,7 +318,7 @@ func TestWriteFaultInjection(t *testing.T) {
 		Site: fault.SiteTraceWrite, Key: "demo", Kind: fault.Permanent, Times: 1}))
 	defer fault.Deactivate()
 	var buf bytes.Buffer
-	err := sampleTrace().Write(&buf)
+	err := WriteTo(&buf, sampleTrace(), WriteOptions{})
 	if err == nil {
 		t.Fatal("armed write site did not fault")
 	}
@@ -330,7 +330,7 @@ func TestWriteFaultInjection(t *testing.T) {
 		t.Fatalf("faulted write still emitted %d bytes", buf.Len())
 	}
 	// The window has passed: the retry succeeds and round-trips.
-	if err := sampleTrace().Write(&buf); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{}); err != nil {
 		t.Fatalf("retry after transient window: %v", err)
 	}
 	if _, err := Read(&buf); err != nil {
@@ -346,7 +346,7 @@ func TestCorruptionInjectionCaughtByChecksum(t *testing.T) {
 		fault.Activate(fault.NewPlan(seed, fault.Rule{
 			Site: fault.SiteTraceCorrupt, Kind: fault.Corrupt, Times: 1}))
 		var buf bytes.Buffer
-		if err := sampleTrace().Write(&buf); err != nil {
+		if err := WriteTo(&buf, sampleTrace(), WriteOptions{}); err != nil {
 			fault.Deactivate()
 			t.Fatalf("seed %d: write: %v", seed, err)
 		}
@@ -365,7 +365,7 @@ func TestCorruptionInjectionCaughtByChecksum(t *testing.T) {
 // injected fault before any bytes are consumed.
 func TestReadFaultInjection(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleTrace().Write(&buf); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	fault.Activate(fault.NewPlan(0, fault.Rule{

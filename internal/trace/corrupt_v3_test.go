@@ -24,7 +24,7 @@ import (
 func v3Sample(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sampleTrace().WriteV3Blocks(&buf, 2); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -356,7 +356,7 @@ func TestV3CorruptionInjectionCaught(t *testing.T) {
 			Site: fault.SiteTraceCorrupt, Kind: fault.Corrupt,
 			After: uint64(seed) % frames, Times: 1}))
 		var buf bytes.Buffer
-		err := sampleTrace().WriteV3Blocks(&buf, 2)
+		err := WriteTo(&buf, sampleTrace(), WriteOptions{Version: 3, BlockEvents: 2})
 		fault.Deactivate()
 		if err != nil {
 			t.Fatalf("seed %d: write: %v", seed, err)
@@ -373,23 +373,23 @@ func TestV3CorruptionInjectionCaught(t *testing.T) {
 	}
 }
 
-// TestV3WriteFaultInjection: WriteV3 shares trace.Write's error site.
+// TestV3WriteFaultInjection: v3 writes share the v2 writer's error site.
 func TestV3WriteFaultInjection(t *testing.T) {
 	fault.Activate(fault.NewPlan(0, fault.Rule{
 		Site: fault.SiteTraceWrite, Key: "demo", Kind: fault.Permanent, Times: 1}))
 	defer fault.Deactivate()
 	var buf bytes.Buffer
-	if err := sampleTrace().WriteV3(&buf); err == nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{Version: 3}); err == nil {
 		t.Fatal("armed write site did not fault")
 	}
 	if buf.Len() != 0 {
-		t.Fatalf("faulted WriteV3 still emitted %d bytes", buf.Len())
+		t.Fatalf("faulted v3 write still emitted %d bytes", buf.Len())
 	}
-	if err := sampleTrace().WriteV3(&buf); err != nil {
+	if err := WriteTo(&buf, sampleTrace(), WriteOptions{Version: 3}); err != nil {
 		t.Fatalf("retry after transient window: %v", err)
 	}
 	if _, err := Read(&buf); err != nil {
-		t.Fatalf("retried WriteV3 does not round-trip: %v", err)
+		t.Fatalf("retried v3 write does not round-trip: %v", err)
 	}
 }
 

@@ -20,16 +20,16 @@ import (
 // EDB_REGEN_FUZZ_CORPUS=1, see corpusgen_test.go).
 func FuzzTraceRead(f *testing.F) {
 	var v2 bytes.Buffer
-	if err := sampleTrace().Write(&v2); err != nil {
+	if err := WriteTo(&v2, sampleTrace(), WriteOptions{}); err != nil {
 		f.Fatal(err)
 	}
 	v1 := writeV1(sampleTrace())
 	var v3 bytes.Buffer
-	if err := sampleTrace().WriteV3Blocks(&v3, 2); err != nil {
+	if err := WriteTo(&v3, sampleTrace(), WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
 		f.Fatal(err)
 	}
 	var v3one bytes.Buffer // degenerate 1-event blocks
-	if err := sampleTrace().WriteV3Blocks(&v3one, 1); err != nil {
+	if err := WriteTo(&v3one, sampleTrace(), WriteOptions{Version: 3, BlockEvents: 1}); err != nil {
 		f.Fatal(err)
 	}
 	const pn = uint64(0x400000 >> 12)
@@ -98,7 +98,7 @@ func FuzzTraceRead(f *testing.F) {
 		// the current writers — both the v2 row format and the v3
 		// columnar format.
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := WriteTo(&buf, tr, WriteOptions{}); err != nil {
 			t.Fatalf("re-encoding accepted trace: %v", err)
 		}
 		tr2, err := Read(&buf)
@@ -115,7 +115,7 @@ func FuzzTraceRead(f *testing.F) {
 			t.Fatal("round-trip object-table drift")
 		}
 		buf.Reset()
-		if err := tr.WriteV3Blocks(&buf, 3); err != nil {
+		if err := WriteTo(&buf, tr, WriteOptions{Version: 3, BlockEvents: 3}); err != nil {
 			t.Fatalf("re-encoding accepted trace as v3: %v", err)
 		}
 		tr3, err := Read(&buf)

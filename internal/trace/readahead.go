@@ -1,45 +1,25 @@
 // Windowed readahead for FileSource: a double-buffered background
 // prefetcher that keeps the next file window in flight while the
 // decoder chews on the current one, overlapping disk I/O with block
-// decode. An optional mmap mode maps the whole file instead (the page
-// cache then does the readahead and the decoder reads straight from
-// the mapping).
+// decode.
 package trace
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"sync"
 )
 
-// DefaultReadaheadBytes is the prefetch window FileSource uses unless
-// configured otherwise. Two windows are in flight at a time, so the
-// steady-state buffer cost of a streamed replay is twice this.
+// DefaultReadaheadBytes is FileSource's prefetch window. Two windows
+// are in flight at a time, so the steady-state buffer cost of a
+// streamed replay is twice this.
 const DefaultReadaheadBytes = 512 << 10
 
-// FileSourceOptions configures how FileSource reads the file.
-type FileSourceOptions struct {
-	// ReadaheadBytes is the prefetch window size (double-buffered);
-	// 0 selects DefaultReadaheadBytes, negative disables readahead and
-	// reads the file directly.
-	ReadaheadBytes int
-	// Mmap maps the file into memory instead of streaming reads
-	// (POSIX-only; silently falls back to reads where unsupported).
-	Mmap bool
-}
+// fileSource is FileSource's StreamSource: the file at the path, read
+// through the prefetcher.
+type fileSource string
 
-type fileSourceOpt struct {
-	path string
-	opts FileSourceOptions
-}
-
-// FileSourceWith is FileSource with explicit I/O options.
-func FileSourceWith(path string, opts FileSourceOptions) StreamSource {
-	return fileSourceOpt{path: path, opts: opts}
-}
-
-func (p fileSourceOpt) Open() (*Stream, error) {
+func (p fileSource) Open() (*Stream, error) {
 	rc, err := p.openRaw()
 	if err != nil {
 		return nil, err
@@ -53,22 +33,15 @@ func (p fileSourceOpt) Open() (*Stream, error) {
 	return s, nil
 }
 
-// openRaw opens the file behind the configured I/O strategy, so
-// Materialize and SharedSource share one open path with Open.
-func (p fileSourceOpt) openRaw() (io.ReadCloser, error) {
+// openRaw opens the file's byte stream, so Materialize and
+// SharedSource share one open path with Open.
+func (p fileSource) openRaw() (io.ReadCloser, error) {
 	return p.openRawAt(0)
 }
 
 // openRawAt opens the byte stream positioned at off.
-func (p fileSourceOpt) openRawAt(off int64) (io.ReadCloser, error) {
-	if p.opts.Mmap {
-		if data, close, err := mmapFile(p.path); err == nil {
-			return &mmapReader{Reader: *bytes.NewReader(data[off:]), close: close}, nil
-		}
-		// Unsupported platform or mapping failure: fall through to the
-		// plain read path — mmap is an optimisation, never a contract.
-	}
-	f, err := os.Open(p.path)
+func (p fileSource) openRawAt(off int64) (io.ReadCloser, error) {
+	f, err := os.Open(string(p))
 	if err != nil {
 		return nil, err
 	}
@@ -78,29 +51,7 @@ func (p fileSourceOpt) openRawAt(off int64) (io.ReadCloser, error) {
 			return nil, err
 		}
 	}
-	if p.opts.ReadaheadBytes < 0 {
-		return f, nil
-	}
-	window := p.opts.ReadaheadBytes
-	if window == 0 {
-		window = DefaultReadaheadBytes
-	}
-	return newPrefetchReader(f, window), nil
-}
-
-// mmapReader adapts a mapped region to io.ReadCloser; Close unmaps.
-type mmapReader struct {
-	bytes.Reader
-	close func() error
-}
-
-func (m *mmapReader) Close() error {
-	if m.close == nil {
-		return nil
-	}
-	c := m.close
-	m.close = nil
-	return c()
+	return newPrefetchReader(f, DefaultReadaheadBytes), nil
 }
 
 // chunk is one prefetched window handed from the producer goroutine to

@@ -25,35 +25,31 @@ func v3TempFile(t *testing.T, blockEvents int) (string, *Trace) {
 	return path, tr
 }
 
-// TestFileSourceModes: every I/O strategy — default readahead, tiny
-// windows, readahead disabled, mmap — decodes the same trace.
+// TestFileSourceModes: FileSource — the one file path, double-buffered
+// readahead — decodes the same trace through Materialize and Open, and
+// fails cleanly on a missing file. Window-boundary handling is covered
+// directly by TestPrefetchReader.
 func TestFileSourceModes(t *testing.T) {
 	path, tr := v3TempFile(t, 2)
-	for name, src := range map[string]StreamSource{
-		"default":      FileSource(path),
-		"tiny window":  FileSourceWith(path, FileSourceOptions{ReadaheadBytes: 3}),
-		"no readahead": FileSourceWith(path, FileSourceOptions{ReadaheadBytes: -1}),
-		"mmap":         FileSourceWith(path, FileSourceOptions{Mmap: true}),
-	} {
-		got, err := Materialize(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Events, tr.Events) {
-			t.Fatalf("%s: events mismatch", name)
-		}
-		s, err := src.Open()
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
-		if s.Program != tr.Program {
-			t.Fatalf("%s: program %q", name, s.Program)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
-		}
+	src := FileSource(path)
+	got, err := Materialize(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := FileSourceWith(filepath.Join(t.TempDir(), "none"), FileSourceOptions{Mmap: true}).Open(); err == nil {
+	if !reflect.DeepEqual(got.Events, tr.Events) {
+		t.Fatal("events mismatch")
+	}
+	s, err := src.Open()
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if s.Program != tr.Program {
+		t.Fatalf("program %q", s.Program)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := FileSource(filepath.Join(t.TempDir(), "none")).Open(); err == nil {
 		t.Fatal("opening a missing file succeeded")
 	}
 }

@@ -107,8 +107,8 @@ func (t *Trace) Counts() (installs, removes, writes int) {
 // reports failures with the absolute byte offset of the offending
 // field. Version-1 files (no length/checksum, body streamed directly
 // after the version) are still read, as are version-3 columnar
-// streaming files (colstore.go) — Write keeps emitting version 2;
-// WriteV3 emits the columnar format.
+// streaming files (colstore.go). WriteTo emits version 2 by default
+// and the columnar format on request.
 const (
 	magic     = "EDBT"
 	version   = 2
@@ -138,15 +138,10 @@ const (
 	minEventBytes  = 4
 )
 
-// Write serialises the trace in the current (version 2) binary format:
-// the body is encoded to an in-memory payload, checksummed, and written
-// behind a length-prefixed header so readers can verify integrity
-// before decoding.
-//
-// Deprecated: use WriteTo(w, t, WriteOptions{}).
-func (t *Trace) Write(w io.Writer) error { return WriteTo(w, t, WriteOptions{}) }
-
-// writeV2 is the version-2 serialisation behind WriteTo.
+// writeV2 is the version-2 serialisation behind WriteTo: the body is
+// encoded to an in-memory payload, checksummed, and written behind a
+// length-prefixed header so readers can verify integrity before
+// decoding.
 func (t *Trace) writeV2(w io.Writer) error {
 	if err := fault.Inject(fault.SiteTraceWrite, t.Program); err != nil {
 		return fmt.Errorf("trace: writing %s: %w", t.Program, err)
@@ -350,7 +345,7 @@ func prealloc(n uint64) int {
 	return int(n)
 }
 
-// Read deserialises a trace written by Write or WriteV3. It reads the
+// Read deserialises a trace written by WriteTo. It reads the
 // checksummed version-2 format, legacy version-1 files, and the
 // columnar streaming version-3 format (materialised through the block
 // reader; use OpenStream to replay v3 without materialising). Malformed
@@ -574,62 +569,6 @@ func (t *Trace) WriteText(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// wordOwners maps the words of one 4 KiB region to the object that owns
-// each word, for ResolveWrites.
-type wordOwners [1024]objects.ID
-
-// ResolveWrites performs the session-independent half of a phase-2
-// replay in one sequential pass: for every event it records which live
-// object (if any) owns the written word at that instant. The result is
-// parallel to Events — entry i is the object hit by Events[i] when it is
-// a write, and 0 for installs, removes, and writes to unmonitored words.
-// It also tallies the total number of write events.
-//
-// The resolution depends only on the trace (via the exclusivity
-// invariant, ValidateExclusive), never on any monitor session, so it can
-// be computed once and then broadcast to any number of per-session-shard
-// replay workers (internal/sim.Sharded): the event stream is read once
-// here, and shard workers consume the immutable (events, resolved) pair
-// by index without re-deriving the word→object map.
-func (t *Trace) ResolveWrites() (resolved []objects.ID, totalWrites uint64, err error) {
-	resolved = make([]objects.ID, len(t.Events))
-	words := make(map[uint32]*wordOwners)
-	for i := range t.Events {
-		e := &t.Events[i]
-		switch e.Kind {
-		case EvInstall:
-			for a := e.BA; a < e.EA; a += arch.WordBytes {
-				pn := uint32(a) >> 12
-				pg := words[pn]
-				if pg == nil {
-					pg = &wordOwners{}
-					words[pn] = pg
-				}
-				pg[(a%4096)/4] = e.Obj
-			}
-		case EvRemove:
-			for a := e.BA; a < e.EA; a += arch.WordBytes {
-				pg := words[uint32(a)>>12]
-				if pg == nil {
-					continue
-				}
-				idx := (a % 4096) / 4
-				if pg[idx] == e.Obj {
-					pg[idx] = 0
-				}
-			}
-		case EvWrite:
-			totalWrites++
-			if pg := words[uint32(e.BA)>>12]; pg != nil {
-				resolved[i] = pg[(e.BA%4096)/4]
-			}
-		default:
-			return nil, 0, fmt.Errorf("trace: unknown event kind %d", e.Kind)
-		}
-	}
-	return resolved, totalWrites, nil
 }
 
 // Validate checks internal consistency: object references resolve,

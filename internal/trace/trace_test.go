@@ -35,7 +35,7 @@ func sampleTrace() *Trace {
 func TestRoundtrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -92,7 +92,7 @@ func TestRoundtripRandom(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -116,7 +116,7 @@ func TestReadBadMagic(t *testing.T) {
 func TestReadTruncated(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -192,67 +192,6 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-func TestResolveWrites(t *testing.T) {
-	tr := sampleTrace()
-	// Add a write to the heap object's range *after* its removal: it
-	// must resolve to no object.
-	tr.Events = append(tr.Events,
-		Event{Kind: EvWrite, BA: 0x1000008, EA: 0x100000c, PC: 0x10c0})
-	resolved, total, err := tr.ResolveWrites()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 3 {
-		t.Errorf("totalWrites = %d, want 3", total)
-	}
-	if len(resolved) != len(tr.Events) {
-		t.Fatalf("resolved length %d, want %d", len(resolved), len(tr.Events))
-	}
-	g, h := tr.Events[0].Obj, tr.Events[1].Obj
-	want := []objects.ID{0, 0, g, h, 0, 0, 0}
-	for i, w := range want {
-		if resolved[i] != w {
-			t.Errorf("resolved[%d] = %d, want %d", i, resolved[i], w)
-		}
-	}
-}
-
-func TestResolveWritesPageStraddle(t *testing.T) {
-	// An object straddling a 4 KiB word-page boundary must resolve
-	// writes on both sides.
-	tab := objects.NewTable()
-	g := tab.Add(objects.Object{Kind: objects.KindGlobal, Name: "big", SizeBytes: 16})
-	ba := arch.Addr(0x400000 + 4096 - 8)
-	tr := &Trace{Program: "straddle", Objects: tab, Events: []Event{
-		{Kind: EvInstall, Obj: g, BA: ba, EA: ba + 16},
-		{Kind: EvWrite, BA: ba, EA: ba + 4, PC: 0x1000},       // low page
-		{Kind: EvWrite, BA: ba + 12, EA: ba + 16, PC: 0x1004}, // high page
-		{Kind: EvWrite, BA: ba + 16, EA: ba + 20, PC: 0x1008}, // just past
-		{Kind: EvRemove, Obj: g, BA: ba, EA: ba + 16},
-	}}
-	resolved, total, err := tr.ResolveWrites()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 3 {
-		t.Errorf("totalWrites = %d, want 3", total)
-	}
-	if resolved[1] != g || resolved[2] != g {
-		t.Errorf("straddling writes resolved to %d/%d, want %d", resolved[1], resolved[2], g)
-	}
-	if resolved[3] != 0 {
-		t.Errorf("out-of-range write resolved to %d, want 0", resolved[3])
-	}
-}
-
-func TestResolveWritesBadKind(t *testing.T) {
-	tr := sampleTrace()
-	tr.Events = append(tr.Events, Event{Kind: EventKind(99)})
-	if _, _, err := tr.ResolveWrites(); err == nil {
-		t.Error("unknown event kind should fail")
-	}
-}
-
 func TestCompactness(t *testing.T) {
 	// The binary format should stay well under 24 bytes/event for
 	// realistic traces (varint deltas keep write events small).
@@ -261,7 +200,7 @@ func TestCompactness(t *testing.T) {
 		tr.Events = append(tr.Events, Event{Kind: EvWrite, BA: 0x400000, EA: 0x400004, PC: 0x2000})
 	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := WriteTo(&buf, tr, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	perEvent := float64(buf.Len()) / float64(len(tr.Events))

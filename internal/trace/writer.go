@@ -44,8 +44,7 @@ type WriteOptions struct {
 }
 
 // WriteTo serialises t in the requested format. It is the single
-// serialisation entry point; Trace.Write, Trace.WriteV3 and
-// Trace.WriteV3Blocks are deprecated shims over it.
+// serialisation entry point for a materialised trace.
 func WriteTo(w io.Writer, t *Trace, o WriteOptions) error {
 	switch o.Version {
 	case 0, version:
@@ -104,7 +103,7 @@ type Writer struct {
 	spoolW    *bufio.Writer
 	frames    []spoolFrame
 
-	// Reusable encode scratch, mirroring the old WriteV3Blocks locals.
+	// Reusable encode scratch.
 	cols    [8]bytes.Buffer
 	frame   bytes.Buffer
 	buf     bytes.Buffer

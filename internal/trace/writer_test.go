@@ -302,22 +302,20 @@ func TestV3WriterCorruptionOrder(t *testing.T) {
 	}
 }
 
-// TestWriteToV2Shims: WriteTo with version 0/2 and the deprecated
-// Write shim produce identical v2 files.
+// TestWriteToV2Shims: WriteTo with version 0 (the default) and 2
+// produce identical v2 files. (The deprecated Write shim it also
+// compared against is gone.)
 func TestWriteToV2Shims(t *testing.T) {
 	tr := sampleTrace()
-	var v0, v2, shim bytes.Buffer
+	var v0, v2 bytes.Buffer
 	if err := WriteTo(&v0, tr, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteTo(&v2, tr, WriteOptions{Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Write(&shim); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v0.Bytes(), v2.Bytes()) || !bytes.Equal(v0.Bytes(), shim.Bytes()) {
-		t.Fatal("WriteTo v0/v2/shim outputs differ")
+	if !bytes.Equal(v0.Bytes(), v2.Bytes()) {
+		t.Fatal("WriteTo v0/v2 outputs differ")
 	}
 }
 

@@ -105,7 +105,7 @@ func TestObsvBenchGate(t *testing.T) {
 		tr, set, _ := fixtures(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Sequential(tr, set); err != nil {
+			if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

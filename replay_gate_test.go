@@ -125,7 +125,7 @@ func TestReplayBenchGate(t *testing.T) {
 	}
 	check("SimReplay/sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Sequential(tr, set); err != nil {
+			if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,7 +4,7 @@
 //
 //	(a) byte identity: for every benchmark workload × block size, the
 //	    incremental trace.Writer must emit a file byte-identical to the
-//	    materialise-then-encode WriteV3Blocks path — one emitter, two
+//	    materialise-then-encode trace.WriteTo path — one emitter, two
 //	    entry points.
 //	(b) bounded memory: a synthetic trace whose v3 file exceeds a
 //	    configured heap ceiling is written event-by-event and replayed
@@ -103,12 +103,12 @@ func TestWriterByteIdenticalAllWorkloads(t *testing.T) {
 		tr := workloadTraceRT(t, name)
 		for _, be := range []int{1 << 10, 1 << 15, 0} {
 			var want bytes.Buffer
-			if err := tr.WriteV3Blocks(&want, be); err != nil {
+			if err := trace.WriteTo(&want, tr, trace.WriteOptions{Version: 3, BlockEvents: be}); err != nil {
 				t.Fatal(err)
 			}
 			got := writerBytes(t, tr, be)
 			if !bytes.Equal(got, want.Bytes()) {
-				t.Errorf("%s blockEvents=%d: incremental writer output differs from WriteV3Blocks (%d vs %d bytes)",
+				t.Errorf("%s blockEvents=%d: incremental writer output differs from WriteTo (%d vs %d bytes)",
 					name, be, len(got), want.Len())
 			}
 		}
@@ -193,16 +193,16 @@ func synthTrace(tb testing.TB, n int) *trace.Trace {
 func TestSyntheticStreamedBitIdentical(t *testing.T) {
 	tr := synthTrace(t, 50_000)
 	var want bytes.Buffer
-	if err := tr.WriteV3Blocks(&want, 4096); err != nil {
+	if err := trace.WriteTo(&want, tr, trace.WriteOptions{Version: 3, BlockEvents: 4096}); err != nil {
 		t.Fatal(err)
 	}
 	got := writerBytes(t, tr, 4096)
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("incremental writer output differs from WriteV3Blocks on the synthetic trace")
+		t.Fatal("incremental writer output differs from WriteTo on the synthetic trace")
 	}
 
 	set := sessions.Discover(tr)
-	ref, err := sim.Run(tr, set)
+	ref, err := sim.RunWithOptions(tr, set, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,10 @@
 // BENCH_trace_store.json numbers. Two checks:
 //
 //	(a) static: the committed file itself must still document the
-//	    streaming win — replaying a bps-scale trace from a v3 file with
-//	    block-skip must be recorded at ≥2x the events/sec of the
-//	    current v2 path (trace.Read into memory, then the in-memory
-//	    sequential engine) on a sparse monitor set. This runs in every
+//	    streaming win — replaying a bps-scale trace streamed from a v3
+//	    file must be recorded at ≥2x the events/sec of the v2 path
+//	    (trace.Read into memory, then one in-memory replay pass) on a
+//	    sparse monitor set. This runs in every
 //	    `go test ./...` (it reads JSON, no benchmarking).
 //
 //	(b) dynamic (opt-in, EDB_TRACE_BENCH=1): re-measure both paths on
@@ -124,14 +124,14 @@ func traceGateFiles(tb testing.TB) *traceGateFixture {
 			tb.Fatal(err)
 		}
 	}
-	write(fx.v2path, func(f *os.File) error { return tr.Write(f) })
-	write(fx.v3path, func(f *os.File) error { return tr.WriteV3(f) })
+	write(fx.v2path, func(f *os.File) error { return trace.WriteTo(f, tr, trace.WriteOptions{}) })
+	write(fx.v3path, func(f *os.File) error { return trace.WriteTo(f, tr, trace.WriteOptions{Version: 3}) })
 	return fx
 }
 
-// replayV2File is the current path for replaying a trace file: decode
-// the whole v2 file into memory, then run the in-memory sequential
-// engine. One call is one gate "op".
+// replayV2File is the materialising path for replaying a trace file:
+// decode the whole v2 file into memory, then replay it in memory in one
+// pass. One call is one gate "op".
 func (fx *traceGateFixture) replayV2File(tb testing.TB) *sim.Output {
 	f, err := os.Open(fx.v2path)
 	if err != nil {
@@ -142,7 +142,7 @@ func (fx *traceGateFixture) replayV2File(tb testing.TB) *sim.Output {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out, err := sim.Sequential(tr, fx.set)
+	out, err := sim.RunWithOptions(tr, fx.set, sim.Options{Shards: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -150,9 +150,10 @@ func (fx *traceGateFixture) replayV2File(tb testing.TB) *sim.Output {
 }
 
 // replayV3Stream is the streamed path: one block-at-a-time pass over
-// the v3 file with block skipping on, never materialising []Event.
+// the v3 file, never materialising []Event. Block skip is on but fires
+// on none of this set's blocks at one shard.
 func (fx *traceGateFixture) replayV3Stream(tb testing.TB) *sim.Output {
-	out, err := sim.RunStream(trace.FileSource(fx.v3path), fx.set, sim.StreamOptions{})
+	out, err := sim.RunWithOptions(nil, fx.set, sim.Options{Source: trace.FileSource(fx.v3path)})
 	if err != nil {
 		tb.Fatal(err)
 	}
