@@ -264,6 +264,95 @@ func Waived(w io.Writer, m map[string]int) {
 	}
 }
 
+// TestMapOrderSeesEventEmission: a map-range loop that hands trace
+// events to a sink emits them in randomised order. The fixture's
+// TeardownBad is the tracer's heap teardown as it stood when spice
+// traces differed run to run.
+func TestMapOrderSeesEventEmission(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module tvet\n\ngo 1.22\n",
+		"internal/trace/trace.go": `package trace
+
+type Event struct {
+	Kind uint8
+	Obj  int
+}
+
+type Writer struct{ n int }
+
+func (w *Writer) Append(e Event) error { w.n++; return nil }
+`,
+		"internal/tracer/tracer.go": `package tracer
+
+import (
+	"sort"
+
+	"tvet/internal/trace"
+)
+
+type heapObj struct{ id int }
+
+type Tracer struct {
+	heapByAddr map[uint32]heapObj
+	events     []trace.Event
+	sink       *trace.Writer
+}
+
+func (t *Tracer) emit(e trace.Event) { t.events = append(t.events, e) }
+
+// TeardownBad emits removes in map order.
+func (t *Tracer) TeardownBad() {
+	for a := range t.heapByAddr {
+		h := t.heapByAddr[a]
+		delete(t.heapByAddr, a)
+		t.emit(trace.Event{Kind: 2, Obj: h.id})
+	}
+}
+
+// StreamBad appends to a writer in map order.
+func (t *Tracer) StreamBad() {
+	for _, h := range t.heapByAddr {
+		_ = t.sink.Append(trace.Event{Obj: h.id})
+	}
+}
+
+// TeardownGood collects, sorts by object ID, then emits.
+func (t *Tracer) TeardownGood() {
+	live := make([]heapObj, 0, len(t.heapByAddr))
+	for _, h := range t.heapByAddr {
+		live = append(live, h)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	for _, h := range live {
+		t.emit(trace.Event{Kind: 2, Obj: h.id})
+	}
+}
+
+// Collect only builds a slice; the caller orders it.
+func (t *Tracer) Collect() []trace.Event {
+	var out []trace.Event
+	for _, h := range t.heapByAddr {
+		out = append(out, trace.Event{Obj: h.id})
+	}
+	return out
+}
+`,
+	})
+	fs, err := Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !has(fs, "maporder", "t.emit(trace.Event)") {
+		t.Errorf("TeardownBad not flagged: %v", fs)
+	}
+	if !has(fs, "maporder", "t.sink.Append(trace.Event)") {
+		t.Errorf("StreamBad not flagged: %v", fs)
+	}
+	if got := count(fs, "maporder"); got != 2 {
+		t.Errorf("want exactly 2 maporder findings, got %d: %v", got, fs)
+	}
+}
+
 // TestRepoIsClean runs the full suite over this repository: the lint
 // gate in `make lint` requires zero findings, so the tree must stay
 // clean (or carry an explicit allow directive with a reason).

@@ -18,11 +18,12 @@ var writerMethods = map[string]bool{
 }
 
 // checkMapOrder flags `for ... := range m` over a map whose body feeds
-// an output sink (fmt print family or a writer/builder method): report
-// and result files must be byte-deterministic, so the keys have to be
-// collected and sorted first. Loops that merely collect (append,
-// assign, aggregate) are fine — that IS the sort-first idiom's first
-// half.
+// an output sink (fmt print family, a writer/builder method, or any
+// call handed a trace.Event — the tracer's emit, trace.Writer.Append):
+// report, result and trace files must be byte-deterministic, so the
+// keys have to be collected and sorted first. Loops that merely collect
+// (append, assign, aggregate) are fine — that IS the sort-first idiom's
+// first half.
 func checkMapOrder(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
@@ -84,6 +85,16 @@ func findOutputCall(p *Package, body *ast.BlockStmt) *outputCall {
 		if !ok {
 			return true
 		}
+		// A trace event handed to a call is emitted; the builtin append
+		// and conversions only collect.
+		if tv := p.Info.Types[call.Fun]; !tv.IsBuiltin() && !tv.IsType() {
+			for _, arg := range call.Args {
+				if isTraceEvent(p.Info.TypeOf(arg)) {
+					found = &outputCall{name: types.ExprString(call.Fun) + "(trace.Event)"}
+					return false
+				}
+			}
+		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
@@ -107,4 +118,11 @@ func findOutputCall(p *Package, body *ast.BlockStmt) *outputCall {
 		return true
 	})
 	return found
+}
+
+// isTraceEvent reports whether t is internal/trace's Event.
+func isTraceEvent(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Event" && n.Obj().Pkg() != nil &&
+		strings.HasSuffix(n.Obj().Pkg().Path(), "internal/trace")
 }

@@ -5,7 +5,8 @@
 // The disabled path is a nil *obs: every helper nil-checks and
 // returns, performing no allocation, no clock read, and no atomic —
 // so an unobserved exp.Run does exactly the allocation work it did
-// before the instrumentation existed (gated by `make obsv-bench`).
+// before the instrumentation existed (gated by `make gate-obsv`, the
+// obsv suite of the root bench-gate harness).
 // Observation never feeds back into the pipeline, so results are
 // bit-identical with observation on or off (TestObservedRunDeterminism).
 

@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkSpanDisabled is the disabled-path contract: a span on a nil
-// tracer must cost a nil check — 0 allocs/op, no clock read. The
-// obsv-bench gate asserts the alloc count.
+// tracer must cost a nil check — 0 allocs/op, no clock read. The obsv
+// bench gate (`make gate-obsv`) asserts the alloc count.
 func BenchmarkSpanDisabled(b *testing.B) {
 	var t *Tracer
 	b.ReportAllocs()

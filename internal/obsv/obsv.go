@@ -19,7 +19,8 @@
 // (internal/exp, internal/sim, internal/debug); with observation off —
 // every production run that doesn't ask for it — the pipeline performs
 // exactly the same allocation work as before the instrumentation
-// existed, a property `make obsv-bench` gates in CI.
+// existed, a property CI gates with `make gate-obsv` (the obsv suite of
+// the bench-gate harness in the module root's gate_test.go).
 //
 // Observation never feeds back into the observed computation: spans
 // and metrics are recorded off to the side, so experiment results are

@@ -385,9 +385,16 @@ func (t *Tracer) run(fuel uint64) error {
 	for len(t.shadow) > 0 {
 		t.onRet(t.m.CPU.PC)
 	}
-	for a := range t.heapByAddr {
-		h := t.heapByAddr[a]
-		delete(t.heapByAddr, a)
+	// Heap blocks still live go in object-ID order: ranging over the
+	// map would emit them in Go's randomised iteration order, a
+	// different trace on every run.
+	live := make([]heapObj, 0, len(t.heapByAddr))
+	for _, h := range t.heapByAddr {
+		live = append(live, h)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	clear(t.heapByAddr)
+	for _, h := range live {
 		t.emit(trace.Event{Kind: trace.EvRemove, Obj: h.id, BA: h.r.BA, EA: h.r.EA})
 	}
 	for i := len(t.lifetime) - 1; i >= 0; i-- {
