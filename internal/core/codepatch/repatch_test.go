@@ -2,6 +2,7 @@ package codepatch_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"edb/internal/analysis"
@@ -311,5 +312,73 @@ func TestSMCScheduleInBounds(t *testing.T) {
 				t.Fatalf("step %d threshold not increasing", i)
 			}
 		}
+	}
+}
+
+// midRunSrc executes one store site twice, with a pause between the
+// two executions.
+const midRunSrc = `
+int g = 0;
+int tab[4];
+
+int put() {
+	tab[0] = g;
+	return 0;
+}
+
+int main() {
+	g = 5;
+	put();
+	g = 7;
+	put();
+	print(tab[0]);
+	print(tab[1]);
+	return 0;
+}
+`
+
+// TestRewriteStoreBetweenExecutions: a RewriteStore landing after a
+// store site has executed once retargets its second execution — the
+// text word and its check pair both changed under a running machine.
+func TestRewriteStoreBetweenExecutions(t *testing.T) {
+	for _, opt := range []codepatch.PatchOptions{{}, {Optimize: true}} {
+		t.Run(fmt.Sprintf("optimize=%v", opt.Optimize), func(t *testing.T) {
+			prog, err := minic.Compile(midRunSrc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var notifs []wms.Notification
+			img, err := codepatch.BuildImage(prog, opt, arch.PageSize4K, func(n wms.Notification) {
+				notifs = append(notifs, n)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := img.M.Image.Data["tab"]
+			if err := img.InstallMonitor(r.BA, r.EA); err != nil {
+				t.Fatal(err)
+			}
+			// Step to the first execution of put's store.
+			for steps := 0; len(notifs) == 0; steps++ {
+				if img.M.CPU.Halted || steps > diffFuel {
+					t.Fatal("put's store never executed")
+				}
+				if err := img.M.CPU.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := img.RewriteStore("put", 0, 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := img.M.Run(diffFuel); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := img.M.Out.String(), "5\n7\n"; got != want {
+				t.Fatalf("output %q, want %q: the second execution must store to tab[1]", got, want)
+			}
+			if len(notifs) != 2 || notifs[0].BA != r.BA || notifs[1].BA != r.BA+4 {
+				t.Fatalf("notifications %+v, want one for tab[0], then one for tab[1]", notifs)
+			}
+		})
 	}
 }
