@@ -5,6 +5,8 @@ package edb_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +33,7 @@ import (
 	"edb/internal/sessions"
 	"edb/internal/sim"
 	"edb/internal/trace"
+	"edb/internal/tracer"
 )
 
 // obsvSetup measures the warm pipeline rerun with observation off,
@@ -397,4 +400,58 @@ func (fx *repatchGate) fullRebuild(tb testing.TB) {
 		check(tb, w.InstallMonitor(r.BA, r.EA))
 	}
 	check(tb, m.Run(repatchFuel))
+}
+
+// traceDigests pins the v3 SHA-256 of every workload's scale-1 trace
+// (internal/tracer's TestTraceDigestGolden owns the file).
+const traceDigests = "internal/tracer/testdata/golden_trace_digests.json"
+
+// tracegenSetup measures phase 1 per workload: a fresh machine over
+// the compiled image, traced to completion. The preflight traces each
+// workload once and checks its digest: a faster interpreter that
+// changes one trace byte measures nothing.
+func tracegenSetup(tb testing.TB) (map[string]any, []gateOp) {
+	data, err := os.ReadFile(traceDigests)
+	check(tb, err)
+	var want map[string]string
+	check(tb, json.Unmarshal(data, &want))
+	facts := map[string]any{"scale": 1}
+	var ops []gateOp
+	for _, name := range progs.Names() {
+		p, err := progs.ByName(name, 1)
+		check(tb, err)
+		img, err := minic.CompileToImage(p.Source)
+		check(tb, err)
+		run := func(tb testing.TB) *trace.Trace {
+			m, err := kernel.NewMachine(img, arch.PageSize4K)
+			check(tb, err)
+			tr, err := tracer.New(m, name).Run(p.Fuel)
+			check(tb, err)
+			return tr
+		}
+		tr := run(tb)
+		h := sha256.New()
+		check(tb, trace.WriteTo(h, tr, trace.WriteOptions{Version: 3}))
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			tb.Fatalf("%s: trace digest %s, want %s from %s", name, got, want[name], traceDigests)
+		}
+		facts[name+"_instret"] = tr.Instret
+		ops = append(ops, gateOp{row: "Tracegen/" + name, op: func(tb testing.TB) { run(tb) }, instret: tr.Instret})
+	}
+	return facts, ops
+}
+
+// tracegenBars holds each workload's tracegen time and allocations to
+// the recorded row.
+func tracegenBars() []bar {
+	var bars []bar
+	for _, name := range progs.Names() {
+		row := "Tracegen/" + name
+		bars = append(bars,
+			within(row+" ns_op", 1+clockSlack, 0),
+			within(row+" allocs_op", 1.02, 1),
+			holds(row+" mips", ">", 0, recorded),
+		)
+	}
+	return append(bars, holds("scale", "=", 1, recorded))
 }

@@ -206,11 +206,13 @@ type gateSuite struct {
 	bars       []bar
 }
 
-// A gateOp is one measured row; events > 0 derives events_per_sec.
+// A gateOp is one measured row; events > 0 derives events_per_sec,
+// instret > 0 derives mips (simulated instructions per microsecond).
 type gateOp struct {
-	row    string
-	op     func(tb testing.TB)
-	events int
+	row     string
+	op      func(tb testing.TB)
+	events  int
+	instret uint64
 }
 
 func (o gateOp) bench(b *testing.B) {
@@ -233,6 +235,9 @@ func (o gateOp) measure(t *testing.T) gateRow {
 	}
 	if o.events > 0 && r["ns_op"] > 0 {
 		r["events_per_sec"] = math.Trunc(float64(o.events) / (r["ns_op"] / 1e9))
+	}
+	if o.instret > 0 && r["ns_op"] > 0 {
+		r["mips"] = math.Round(float64(o.instret)/(r["ns_op"]/1e3)*100) / 100
 	}
 	t.Logf("%s: %s ns/op, %s allocs/op, %s B/op", o.row, fnum(r["ns_op"]), fnum(r["allocs_op"]), fnum(r["bytes_op"]))
 	return r
@@ -372,6 +377,9 @@ var gateSuites = []gateSuite{
 		holds(soakRow+" p99_ms", ">", 0, recorded),
 		holds(soakRow+" throughput_rps", ">", 0, recorded),
 	}},
+	// Phase 1 holds its interpreter speed: each workload traced at
+	// scale 1, after its trace matches the pinned digest.
+	{name: "tracegen", file: "BENCH_tracegen.json", setup: tracegenSetup, bars: tracegenBars()},
 	// Mutating a live image beats a stop-the-world rebuild by 3×.
 	{name: "repatch", file: "BENCH_repatch.json", setup: repatchSetup, bars: []bar{
 		below(3, "ns_op", "Repatch/incremental-watchset", "Repatch/full-rebuild", both),

@@ -448,14 +448,7 @@ func (w *WMS) invalidateForInstall(ba, ea arch.Addr) {
 		return
 	}
 	w.memoValid = false
-	for a, v := range w.checked {
-		if v == checkMiss && wordIntersects(a, ba, ea) {
-			delete(w.checked, a)
-			w.FactsDropped++
-		} else {
-			w.FactsKept++
-		}
-	}
+	w.dropFacts(checkMiss, ba, ea)
 	for i := range w.missCache {
 		e := &w.missCache[i]
 		if e.valid && wordIntersects(e.addr, ba, ea) {
@@ -476,14 +469,33 @@ func (w *WMS) invalidateForRemove(ba, ea arch.Addr) {
 		return
 	}
 	w.memoValid = false
-	for a, v := range w.checked {
-		if v == checkHit && wordIntersects(a, ba, ea) {
-			delete(w.checked, a)
-			w.FactsDropped++
-		} else {
-			w.FactsKept++
+	w.dropFacts(checkHit, ba, ea)
+}
+
+// dropFacts drops the executed-check facts with outcome v whose word
+// intersects [ba, ea), and counts every other fact as kept. It visits
+// only the addresses that can intersect the range — every byte address
+// from ba-3 on, since a check may record an unaligned address — or
+// scans the table when that is fewer.
+func (w *WMS) dropFacts(v byte, ba, ea arch.Addr) {
+	n := len(w.checked)
+	lo := ba - min(ba, arch.WordBytes-1)
+	if uint64(ea-lo) < uint64(n) {
+		for a := lo; a < ea; a++ {
+			if w.checked[a] == v && wordIntersects(a, ba, ea) {
+				delete(w.checked, a)
+			}
+		}
+	} else {
+		for a, got := range w.checked {
+			if got == v && wordIntersects(a, ba, ea) {
+				delete(w.checked, a)
+			}
 		}
 	}
+	dropped := n - len(w.checked)
+	w.FactsDropped += uint64(dropped)
+	w.FactsKept += uint64(n - dropped)
 }
 
 // fullCheck is the stub's first entry: the memo fast path when enabled,

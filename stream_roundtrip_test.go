@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -275,6 +276,14 @@ func TestLargerThanRAMStreamedReplay(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
+	// The collector lets garbage grow to GOGC% of the live heap before
+	// it runs. Earlier tests in this package leave large heaps live (the
+	// experiment artifact cache, the per-workload trace cache), and at
+	// the default 100% the replay's garbage then piles up past the
+	// ceiling before a collection. Scale GOGC so the headroom stays the
+	// collector's 4 MiB minimum heap, as when the test runs alone.
+	defer debug.SetGCPercent(debug.SetGCPercent(int(min(100, max(1, 100*(4<<20)/base)))))
+	t.Logf("live heap at start %.1f MiB", float64(base)/(1<<20))
 
 	stop := sampleHeap()
 	f, err := os.Create(path)
