@@ -108,6 +108,14 @@ func (s Segment) String() string {
 	}
 }
 
+// TextWord returns the index of the text word at a, counted from
+// TextBase, and whether a is a word-aligned address in the text
+// segment.
+func TextWord(a Addr) (int, bool) {
+	off := uint32(a - TextBase)
+	return int(off / WordBytes), off%WordBytes == 0 && off < uint32(TextLimit-TextBase)
+}
+
 // SegmentOf classifies an address.
 func SegmentOf(a Addr) Segment {
 	switch {

@@ -213,3 +213,25 @@ func TestRangeString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+func TestTextWord(t *testing.T) {
+	cases := []struct {
+		a    Addr
+		i    int
+		text bool
+	}{
+		{TextBase, 0, true},
+		{TextBase + 8, 2, true},
+		{TextLimit - WordBytes, int(TextLimit-TextBase)/WordBytes - 1, true},
+		{TextBase + 2, 0, false},
+		{TextBase - WordBytes, 0, false},
+		{TextLimit, 0, false},
+		{0, 0, false},
+	}
+	for _, c := range cases {
+		i, ok := TextWord(c.a)
+		if ok != c.text || ok && i != c.i {
+			t.Errorf("TextWord(%#x) = %d, %v; want %d, %v", uint32(c.a), i, ok, c.i, c.text)
+		}
+	}
+}
