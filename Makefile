@@ -24,12 +24,17 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs a pinned copy)"; \
 	fi
 
-# Patch-soundness lint: analysis.VerifyPatched / VerifyTrapPatched must
-# prove every strategy's patched image sound for every benchmark. The
-# custom vet suite (internal/edbvet) runs first: obsv nil-is-free
-# contract, unregistered fault.Site literals, map iteration feeding
-# report output.
+# Lint: gofmt first (any file `gofmt -l` lists fails the target), then
+# the custom vet suite (internal/edbvet: obsv nil-is-free contract,
+# unregistered fault.Site literals, map iteration feeding report output,
+# exported identifiers only their own tests use), then the
+# patch-soundness lint: analysis.VerifyPatched / VerifyTrapPatched must
+# prove every strategy's patched image sound for every benchmark.
 lint:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/edbvet .
 	@for b in gcc ctex spice qcd bps; do \
 		echo "lint: $$b"; \

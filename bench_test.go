@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"edb"
+	"edb/internal/analysis"
 	"edb/internal/asm"
 	"edb/internal/calib"
 	"edb/internal/core/codepatch"
@@ -186,7 +187,7 @@ func BenchmarkCodeExpansion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := codepatch.Patch(prog)
+		res, err := codepatch.Patch(prog, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,14 +362,14 @@ func (w *writeCounter) Write(p []byte) (int, error) { w.n += len(p); return len(
 
 // BenchmarkLoopHoistAblation is the CodePatch check-optimisation
 // ablation recorded in BENCH_codepatch_opt.json: the static §9
-// optimiser (check elision + loop hoisting, PatchOptions.Optimize)
-// against the dynamic check memo (AttachWithOptions), on a hot-loop
-// workload with one monitored global, plus the interprocedural
-// ablation (cp-opt-intra restricts the planner to single functions; the
-// quiet `mix` helper between two watched stores is invisible to it but
-// transparent to the call-graph summaries). sim-cycles/op is the
-// simulated debuggee cost; sim-checks/op counts executed full/fast
-// check calls (elided stores charge nothing).
+// optimiser (check elision + loop hoisting, a non-nil plan) against
+// plain CodePatch on a hot-loop workload with one monitored global,
+// plus the interprocedural ablation (cp-opt-intra restricts the planner
+// to single functions; the quiet `mix` helper between two watched
+// stores is invisible to it but transparent to the call-graph
+// summaries). sim-cycles/op is the simulated debuggee cost;
+// sim-checks/op counts executed full/fast check calls (elided stores
+// charge nothing).
 func BenchmarkLoopHoistAblation(b *testing.B) {
 	src := `
 	int watched = 0;
@@ -395,16 +396,14 @@ func BenchmarkLoopHoistAblation(b *testing.B) {
 		return 0;
 	}`
 	cases := []struct {
-		name      string
-		optimize  bool
-		memo      bool
-		intraproc bool
+		name string
+		plan func(*asm.Program) *analysis.Plan
 	}{
-		{"cp", false, false, false},
-		{"cp-memo", false, true, false},
-		{"cp-opt-intra", true, false, true},
-		{"cp-opt", true, false, false},
-		{"cp-opt-memo", true, true, false},
+		{"cp", func(*asm.Program) *analysis.Plan { return nil }},
+		{"cp-opt-intra", func(p *asm.Program) *analysis.Plan {
+			return analysis.PlanChecksWithOptions(p, analysis.PlanOptions{Intraproc: true})
+		}},
+		{"cp-opt", analysis.PlanChecks},
 	}
 	for _, c := range cases {
 		c := c
@@ -415,7 +414,7 @@ func BenchmarkLoopHoistAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: c.optimize, Intraproc: c.intraproc}); err != nil {
+				if _, err := codepatch.Patch(prog, c.plan(prog)); err != nil {
 					b.Fatal(err)
 				}
 				img, err := asm.Assemble(prog)
@@ -426,7 +425,7 @@ func BenchmarkLoopHoistAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				w, err := codepatch.AttachWithOptions(m, nil, codepatch.Options{Memo: c.memo})
+				w, err := codepatch.Attach(m, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -125,7 +125,7 @@ func runLint(src string) int {
 
 	// Unoptimized CodePatch.
 	prog := compile()
-	if _, err := codepatch.Patch(prog); err != nil {
+	if _, err := codepatch.Patch(prog, nil); err != nil {
 		fail(err)
 	}
 	check("cp", analysis.VerifyPatched(prog))
@@ -134,7 +134,7 @@ func runLint(src string) int {
 	// verifier additionally validates the shipped dependence map: every
 	// interprocedural elision must re-derive from the patched image.
 	prog = compile()
-	res, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true})
+	res, err := codepatch.Patch(prog, analysis.PlanChecks(prog))
 	if err != nil {
 		fail(err)
 	}

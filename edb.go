@@ -255,8 +255,8 @@ func HostProfile(h HostTimings, serviceSpeedup float64) Timings {
 // Tracer is the span/event collector of the observability layer: a
 // ring-buffered, allocation-conscious recorder of pipeline phases.
 // Wire one into ExperimentConfig.Tracer or WithObserver, then export
-// with WriteText (human timeline), WriteChromeTrace (Perfetto), or
-// WriteJSONL. A nil *Tracer is valid everywhere and records nothing.
+// with WriteText (human timeline) or WriteChromeTrace (Perfetto). A nil
+// *Tracer is valid everywhere and records nothing.
 type Tracer = obsv.Tracer
 
 // NewTracer builds a span collector holding up to capacity records

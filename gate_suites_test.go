@@ -294,7 +294,7 @@ func repatchSetup(tb testing.TB) (map[string]any, []gateOp) {
 	p := progs.BPS(1)
 	prog, err := minic.Compile(p.Source)
 	check(tb, err)
-	img, err := codepatch.BuildImage(prog, codepatch.PatchOptions{Optimize: true}, arch.PageSize4K, nil)
+	img, err := codepatch.BuildImage(prog, analysis.PlanChecks(prog), arch.PageSize4K, nil)
 	check(tb, err)
 	fx := &repatchGate{prog: p, img: img}
 	// Run the debuggee to completion first: the incremental ops are
@@ -385,7 +385,7 @@ func (fx *repatchGate) incrementalRewrite(tb testing.TB) {
 func (fx *repatchGate) fullRebuild(tb testing.TB) {
 	prog, err := minic.Compile(fx.prog.Source)
 	check(tb, err)
-	res, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true})
+	res, err := codepatch.Patch(prog, analysis.PlanChecks(prog))
 	check(tb, err)
 	if v := analysis.VerifyPatchedWithDeps(prog, res.DepMap); len(v) > 0 {
 		tb.Fatalf("rebuild unsound: %v", v[0])

@@ -146,26 +146,6 @@ func (cg *CallGraph) SCCs() [][]string {
 	return out
 }
 
-// Recursive reports whether fn is part of a call cycle (including
-// direct self-recursion).
-func (cg *CallGraph) Recursive(fn string) bool {
-	for _, c := range cg.Callees[fn] {
-		if c == fn {
-			return true
-		}
-	}
-	for _, comp := range cg.SCCs() {
-		if len(comp) > 1 {
-			for _, m := range comp {
-				if m == fn {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // frameInfo describes what the analysis could prove about a function's
 // stack-frame discipline. Only frame-disciplined functions get their
 // SP/FP-relative stores classified as own-frame writes; everything else

@@ -110,9 +110,9 @@ type PlanOptions struct {
 // PlanChecks computes the static check-optimization plan for an
 // UNPATCHED program: which stores' checks can be elided, which loops
 // admit a hoisted preliminary check, and which in-loop checks downgrade
-// to the cheap compare. codepatch.PatchWithOptions consumes the plan;
-// it is deterministic, so the same source always yields the same
-// patched image. Planning is interprocedural by default (cross-call
+// to the cheap compare. codepatch.Patch consumes the plan; it is
+// deterministic, so the same source always yields the same patched
+// image. Planning is interprocedural by default (cross-call
 // elision via callee write summaries and entry facts); pass
 // PlanOptions{Intraproc: true} for the PR 2 baseline.
 func PlanChecks(p *asm.Program) *Plan {

@@ -34,7 +34,7 @@ func TestVerifyAllWorkloads(t *testing.T) {
 			}
 
 			prog := compile()
-			if _, err := codepatch.Patch(prog); err != nil {
+			if _, err := codepatch.Patch(prog, nil); err != nil {
 				t.Fatal(err)
 			}
 			if vs := analysis.VerifyPatched(prog); len(vs) != 0 {
@@ -42,7 +42,7 @@ func TestVerifyAllWorkloads(t *testing.T) {
 			}
 
 			prog = compile()
-			if _, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true}); err != nil {
+			if _, err := codepatch.Patch(prog, analysis.PlanChecks(prog)); err != nil {
 				t.Fatal(err)
 			}
 			if vs := analysis.VerifyPatched(prog); len(vs) != 0 {
@@ -80,7 +80,7 @@ func optPatched(t *testing.T) *asm.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true}); err != nil {
+	if _, err := codepatch.Patch(prog, analysis.PlanChecks(prog)); err != nil {
 		t.Fatal(err)
 	}
 	if vs := analysis.VerifyPatched(prog); len(vs) != 0 {
@@ -249,7 +249,7 @@ func TestCheckFuncNameMatchesCodepatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codepatch.Patch(prog); err != nil {
+	if _, err := codepatch.Patch(prog, nil); err != nil {
 		t.Fatal(err)
 	}
 	if prog.Funcs[0].Name != codepatch.CheckFuncName {
@@ -294,7 +294,7 @@ func optPatchedWithDeps(t *testing.T) (*asm.Program, *analysis.DepMap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true})
+	res, err := codepatch.Patch(prog, analysis.PlanChecks(prog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestVerifyWithDepsWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true})
+			res, err := codepatch.Patch(prog, analysis.PlanChecks(prog))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -168,9 +168,6 @@ func (r Range) String() string { return fmt.Sprintf("[%#x,%#x)", uint32(r.BA), u
 // CyclesToSeconds converts simulated cycles to seconds of simulated time.
 func CyclesToSeconds(cycles uint64) float64 { return float64(cycles) / ClockHz }
 
-// SecondsToCycles converts simulated seconds to cycles (rounded down).
-func SecondsToCycles(s float64) uint64 { return uint64(s * ClockHz) }
-
 // MicrosToCycles converts microseconds of simulated time to cycles.
 // Timing variables in the paper (Table 2) are given in microseconds; the
 // kernel's cost model charges them to the cycle clock through this

@@ -21,10 +21,10 @@
 // normally — no kernel involvement at all, which is what makes the
 // strategy operating-system independent and cheap.
 //
-// # Static optimization (PatchOptions.Optimize)
+// # Static optimization (a non-nil plan)
 //
 // §9 of the paper proposes compile-time optimization of the inserted
-// checks. The Optimize mode implements it over internal/analysis:
+// checks. Patching with an analysis.Plan implements it:
 //
 //   - Check elimination: a store dominated by a prior check of a
 //     provably-equal address expression — with no intervening
@@ -103,36 +103,22 @@ func (r *PatchResult) Expansion() float64 {
 	return float64(r.PatchedWords-r.OriginalWords) / float64(r.OriginalWords)
 }
 
-// PatchOptions tunes the patcher.
-type PatchOptions struct {
-	// Optimize runs the static check-elimination and loop-hoisting
-	// analysis before patching (see the package comment). The optimized
-	// image delivers exactly the notification sequence of an
-	// unoptimized one.
-	Optimize bool
-	// Intraproc restricts an optimized patch to the single-function
-	// analysis (calls are optimization fences; no dependence map). Used
-	// by the interproc ablation.
-	Intraproc bool
-}
-
 // Patch instruments every store in the program and injects the check
 // routine as the program's first function. The program is mutated in
 // place (compile a fresh program per strategy).
-func Patch(p *asm.Program) (*PatchResult, error) {
-	return PatchWithOptions(p, PatchOptions{})
-}
-
-// PatchWithOptions is Patch with tuning options.
-func PatchWithOptions(p *asm.Program, opt PatchOptions) (*PatchResult, error) {
+//
+// A nil plan gives plain CodePatch: every store gets a full check and
+// the stub is one word. A non-nil plan, which must come from
+// analysis.PlanChecks (or PlanChecksWithOptions) over p as it stands,
+// gives the optimised patch: elided, fast and hoisted checks as the
+// plan classifies them, a three-entry stub, and the plan's dependence
+// map remapped onto the patched bodies.
+func Patch(p *asm.Program, plan *analysis.Plan) (*PatchResult, error) {
 	if p.FindFunc(CheckFuncName) != nil {
 		return nil, fmt.Errorf("codepatch: program already patched")
 	}
 	res := &PatchResult{}
-
-	var plan *analysis.Plan
-	if opt.Optimize {
-		plan = analysis.PlanChecksWithOptions(p, analysis.PlanOptions{Intraproc: opt.Intraproc})
+	if plan != nil {
 		res.EliminatedChecks = plan.EliminatedChecks
 		res.FastChecks = plan.FastChecks
 		res.HoistedChecks = plan.HoistedChecks
@@ -253,7 +239,7 @@ func PatchWithOptions(p *asm.Program, opt PatchOptions) (*PatchResult, error) {
 	// no-ops). The optimized stub has three entries: full, fast,
 	// preliminary.
 	stubWords := 1
-	if opt.Optimize {
+	if plan != nil {
 		stubWords = 3
 	}
 	check := &asm.Func{Name: CheckFuncName, Labels: map[string]int{}}
@@ -310,14 +296,6 @@ type WMS struct {
 
 	pending    wms.Notification
 	hasPending bool
-
-	// Memo-optimisation state (see memo.go).
-	memoEnabled bool
-	memoValid   bool
-	memoPage    uint32
-	memoCost    uint64
-	// MemoHits counts checks satisfied by the fast path.
-	MemoHits uint64
 
 	// Checks counts executed check calls (every executed store whose
 	// check was not statically elided).
@@ -382,7 +360,7 @@ func Attach(m *kernel.Machine, notify wms.Notifier) (*WMS, error) {
 		checked:    make(map[arch.Addr]byte),
 	}
 	w.svc = wms.NewService(nil, nil)
-	m.CPU.RegisterHostFunc(entry, w.fullCheck)
+	m.CPU.RegisterHostFunc(entry, w.check)
 	stubWords := int((m.Image.Funcs[fi].End - entry) / arch.WordBytes)
 	if stubWords >= 2 {
 		m.CPU.RegisterHostFunc(entry+stubFastOff, w.checkFast)
@@ -439,15 +417,11 @@ func wordIntersects(a, ba, ea arch.Addr) bool {
 //     statements about their address and are kept.
 //   - miss-cache entries (guaranteed-miss facts) intersecting the range
 //     are dropped; the rest stay valid.
-//   - the memo page is conservatively discarded either way — the memo
-//     fast path skips the counted lookup entirely, so keeping it would
-//     let the two policies diverge in Stats, not just in cycles.
 func (w *WMS) invalidateForInstall(ba, ea arch.Addr) {
 	if !w.incremental {
 		w.invalidateCaches()
 		return
 	}
-	w.memoValid = false
 	w.dropFacts(checkMiss, ba, ea)
 	for i := range w.missCache {
 		e := &w.missCache[i]
@@ -468,7 +442,6 @@ func (w *WMS) invalidateForRemove(ba, ea arch.Addr) {
 		w.invalidateCaches()
 		return
 	}
-	w.memoValid = false
 	w.dropFacts(checkHit, ba, ea)
 }
 
@@ -498,22 +471,13 @@ func (w *WMS) dropFacts(v byte, ba, ea arch.Addr) {
 	w.FactsKept += uint64(n - dropped)
 }
 
-// fullCheck is the stub's first entry: the memo fast path when enabled,
-// else the plain per-store lookup.
-func (w *WMS) fullCheck(c *cpu.CPU) error {
-	if w.memoEnabled {
-		return w.checkMemo(c)
-	}
-	return w.check(c)
-}
-
-// check is the host-implemented body of __wms_check. The target address
-// arrives in AT2 and the store's own address in PLink (the link register
-// of the check call). The store has not executed yet, so a hit is
-// recorded as pending and the notification is delivered from the store
-// observation hook — the WMS definition requires notification *after*
-// the write has succeeded (§1: this distinguishes write monitors from
-// write barriers).
+// check is the host-implemented body of __wms_check, the stub's first
+// (full) entry. The target address arrives in AT2 and the store's own
+// address in PLink (the link register of the check call). The store
+// has not executed yet, so a hit is recorded as pending and the
+// notification is delivered from the store observation hook — the WMS
+// definition requires notification *after* the write has succeeded
+// (§1: this distinguishes write monitors from write barriers).
 func (w *WMS) check(c *cpu.CPU) error {
 	w.Checks++
 	c.ChargeCycles(w.lookupCost)
@@ -552,7 +516,7 @@ func (w *WMS) checkFast(c *cpu.CPU) error {
 		w.setLastCheck(addr, false)
 		return nil
 	}
-	return w.fullCheck(c)
+	return w.check(c)
 }
 
 // checkPre is the stub's third entry: the hoisted preliminary check. It
@@ -630,11 +594,10 @@ func (w *WMS) onStore(ba, ea, pc arch.Addr) {
 	}
 }
 
-// invalidateCaches is called on every monitor update: the memo page,
-// the executed-check table, and the preliminary-check miss cache are
-// all conservatively discarded.
+// invalidateCaches is called on every monitor update: the
+// executed-check table and the preliminary-check miss cache are both
+// conservatively discarded.
 func (w *WMS) invalidateCaches() {
-	w.memoValid = false
 	clear(w.checked)
 	for i := range w.missCache {
 		w.missCache[i].valid = false

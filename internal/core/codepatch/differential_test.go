@@ -48,24 +48,28 @@ type machineUnderTest struct {
 // Patch variants under differential test: the unoptimized patch, the
 // intraprocedural optimizer (PR 2 baseline), and the interprocedural
 // optimizer (call-graph + summary driven).
+// Each variant's planner computes its check plan over the unpatched
+// program (nil for the unoptimized patch).
 var patchVariants = []struct {
 	name string
-	opt  codepatch.PatchOptions
+	plan func(*asm.Program) *analysis.Plan
 }{
-	{"unopt", codepatch.PatchOptions{}},
-	{"intra", codepatch.PatchOptions{Optimize: true, Intraproc: true}},
-	{"inter", codepatch.PatchOptions{Optimize: true}},
+	{"unopt", func(*asm.Program) *analysis.Plan { return nil }},
+	{"intra", func(p *asm.Program) *analysis.Plan {
+		return analysis.PlanChecksWithOptions(p, analysis.PlanOptions{Intraproc: true})
+	}},
+	{"inter", analysis.PlanChecks},
 }
 
-// build compiles src, patches it with the given options, and attaches a
-// recording CodePatch WMS.
-func build(t *testing.T, src string, opt codepatch.PatchOptions) *machineUnderTest {
+// build compiles src, patches it with the plan the given planner
+// computes, and attaches a recording CodePatch WMS.
+func build(t *testing.T, src string, plan func(*asm.Program) *analysis.Plan) *machineUnderTest {
 	t.Helper()
 	prog, err := minic.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := codepatch.PatchWithOptions(prog, opt)
+	res, err := codepatch.Patch(prog, plan(prog))
 	if err != nil {
 		t.Fatalf("patch: %v", err)
 	}
@@ -156,7 +160,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		src := minic.GenProgram(rand.New(rand.NewSource(seed)))
 		muts := make([]*machineUnderTest, len(patchVariants))
 		for vi, v := range patchVariants {
-			mut := build(t, src, v.opt)
+			mut := build(t, src, v.plan)
 			for _, r := range monitorRanges(mut.m) {
 				if err := mut.w.InstallMonitor(r.BA, r.EA); err != nil {
 					t.Fatal(err)
@@ -232,9 +236,9 @@ func runScripted(t *testing.T, mut *machineUnderTest, script []monitorEvent) {
 func TestDifferentialInterleavedMonitors(t *testing.T) {
 	for seed := int64(100); seed < 112; seed++ {
 		src := minic.GenProgram(rand.New(rand.NewSource(seed)))
-		unopt := build(t, src, patchVariants[0].opt)
-		intra := build(t, src, patchVariants[1].opt)
-		inter := build(t, src, patchVariants[2].opt)
+		unopt := build(t, src, patchVariants[0].plan)
+		intra := build(t, src, patchVariants[1].plan)
+		inter := build(t, src, patchVariants[2].plan)
 
 		rs := monitorRanges(unopt.m)
 		if len(rs) < 2 {
@@ -296,13 +300,13 @@ type stormRun struct {
 }
 
 // buildStorm is build() plus the incremental engine wrapper.
-func buildStorm(t *testing.T, src string, opt codepatch.PatchOptions, incremental bool) *stormRun {
+func buildStorm(t *testing.T, src string, plan func(*asm.Program) *analysis.Plan, incremental bool) *stormRun {
 	t.Helper()
 	prog, err := minic.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := codepatch.PatchWithOptions(prog, opt)
+	res, err := codepatch.Patch(prog, plan(prog))
 	if err != nil {
 		t.Fatalf("patch: %v", err)
 	}
@@ -457,8 +461,8 @@ func genStormScript(rng *rand.Rand, m *kernel.Machine, ops int) []repatchOp {
 func TestRepatchDeterministic(t *testing.T) {
 	src := progs.SMC(1).Source
 	for _, v := range patchVariants {
-		a := build(t, src, v.opt)
-		b := build(t, src, v.opt)
+		a := build(t, src, v.plan)
+		b := build(t, src, v.plan)
 		ta, tb := a.m.Image.Text, b.m.Image.Text
 		if len(ta) != len(tb) {
 			t.Fatalf("%s: re-patch changed text size: %d vs %d words", v.name, len(ta), len(tb))
@@ -480,8 +484,8 @@ func TestRepatchStormRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		src := minic.GenProgram(rand.New(rand.NewSource(200 + seed)))
 		for _, v := range patchVariants {
-			full := buildStorm(t, src, v.opt, false)
-			incr := buildStorm(t, src, v.opt, true)
+			full := buildStorm(t, src, v.plan, false)
+			incr := buildStorm(t, src, v.plan, true)
 			script := genStormScript(rand.New(rand.NewSource(9000+seed)), full.m, 12)
 			runStorm(t, full, script, diffFuel)
 			runStorm(t, incr, script, diffFuel)
@@ -518,8 +522,8 @@ func TestRepatchStormWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range patchVariants {
-				full := buildStorm(t, p.Source, v.opt, false)
-				incr := buildStorm(t, p.Source, v.opt, true)
+				full := buildStorm(t, p.Source, v.plan, false)
+				incr := buildStorm(t, p.Source, v.plan, true)
 				script := genStormScript(rand.New(rand.NewSource(77)), full.m, 10)
 				if name == "smc" {
 					for _, rw := range progs.SMCRewrites(1) {
@@ -540,7 +544,7 @@ func TestRepatchStormWorkloads(t *testing.T) {
 						t.Errorf("%s: post-storm image fails re-verification: %v", v.name, vs[0])
 					}
 				}
-				if name == "smc" && v.opt.Optimize {
+				if name == "smc" && v.name != "unopt" {
 					if incr.img.Stats.Rewrites != len(progs.SMCRewrites(1)) {
 						t.Errorf("%s: applied %d rewrites, want %d",
 							v.name, incr.img.Stats.Rewrites, len(progs.SMCRewrites(1)))
@@ -568,7 +572,7 @@ func TestDifferentialWorkloads(t *testing.T) {
 			const workloadFuel = 400_000_000
 			muts := make([]*machineUnderTest, len(patchVariants))
 			for vi, v := range patchVariants {
-				mut := build(t, p.Source, v.opt)
+				mut := build(t, p.Source, v.plan)
 				for _, r := range monitorRanges(mut.m) {
 					if err := mut.w.InstallMonitor(r.BA, r.EA); err != nil {
 						t.Fatal(err)

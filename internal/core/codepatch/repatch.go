@@ -90,32 +90,15 @@ type Image struct {
 	dm      *analysis.DepMap
 	demoted map[analysis.SiteRef]bool
 
-	// onMutate, when set, runs after every successful mutation of the
-	// live image (install, remove, rewrite). Hosts that cache analysis
-	// state derived from the image hang their invalidation here — the
-	// image cannot know who is holding stale interprocedural facts, but
-	// it does know exactly when they go stale.
-	onMutate func()
-
 	Stats RepatchStats
 }
 
-// SetMutationHook registers fn to run after every successful
-// incremental mutation. A nil fn clears the hook.
-func (i *Image) SetMutationHook(fn func()) { i.onMutate = fn }
-
-func (i *Image) mutated() {
-	if i.onMutate != nil {
-		i.onMutate()
-	}
-}
-
-// BuildImage compiles the full pipeline — patch, verify, assemble,
-// machine, attach — and returns the live image with the incremental
-// invalidation policy enabled. The program is mutated in place, exactly
-// as PatchWithOptions documents.
-func BuildImage(p *asm.Program, opt PatchOptions, pageSize int, notify wms.Notifier) (*Image, error) {
-	res, err := PatchWithOptions(p, opt)
+// BuildImage compiles the full pipeline — patch with plan (nil for
+// plain CodePatch), verify, assemble, machine, attach — and returns the
+// live image with the incremental invalidation policy enabled. The
+// program is mutated in place, exactly as Patch documents.
+func BuildImage(p *asm.Program, plan *analysis.Plan, pageSize int, notify wms.Notifier) (*Image, error) {
+	res, err := Patch(p, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +151,6 @@ func NewImage(p *asm.Program, res *PatchResult, m *kernel.Machine, w *WMS) *Imag
 // intraprocedural images.
 func (i *Image) DepMap() *analysis.DepMap { return i.dm }
 
-// Demoted returns the demoted-site set (live map — callers must not
-// mutate it).
-func (i *Image) Demoted() map[analysis.SiteRef]bool { return i.demoted }
-
 // InstallMonitor grows the live watch set. Under the incremental policy
 // this is the whole point of the engine: no re-patch, no flush of
 // still-valid facts — the stub machinery at every store picks up the
@@ -181,7 +160,6 @@ func (i *Image) InstallMonitor(ba, ea arch.Addr) error {
 		return err
 	}
 	i.Stats.Installs++
-	i.mutated()
 	return nil
 }
 
@@ -191,7 +169,6 @@ func (i *Image) RemoveMonitor(ba, ea arch.Addr) error {
 		return err
 	}
 	i.Stats.Removes++
-	i.mutated()
 	return nil
 }
 
@@ -312,7 +289,6 @@ func (i *Image) RewriteStore(fn string, ordinal int, deltaOff int32) error {
 	if v := i.Verify(); len(v) > 0 {
 		return fmt.Errorf("%w: %v", ErrUnsound, v[0])
 	}
-	i.mutated()
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"edb/internal/analysis"
 	"edb/internal/arch"
-	"edb/internal/core/codepatch"
 	"edb/internal/kernel"
 	"edb/internal/progs"
 )
@@ -34,7 +33,7 @@ func interPatch(t *testing.T, name string) (*stormRun, *analysis.DepMap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := buildStorm(t, p.Source, codepatch.PatchOptions{Optimize: true}, true)
+	sr := buildStorm(t, p.Source, analysis.PlanChecks, true)
 	dm := sr.res.DepMap
 	if dm == nil || len(dm.Sites) == 0 {
 		t.Fatalf("%s: interproc patch shipped no dependence map", name)
@@ -298,8 +297,8 @@ func FuzzRepatchScript(f *testing.F) {
 			t.Skip("script out of size bounds")
 		}
 		v := patchVariants[int(data[0])%len(patchVariants)]
-		full := buildStorm(t, src, v.opt, false)
-		incr := buildStorm(t, src, v.opt, true)
+		full := buildStorm(t, src, v.plan, false)
+		incr := buildStorm(t, src, v.plan, true)
 		script := decodeStormScript(data[1:], full.m)
 		runStorm(t, full, script, fuel)
 		runStorm(t, incr, script, fuel)

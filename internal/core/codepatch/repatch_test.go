@@ -7,6 +7,7 @@ import (
 
 	"edb/internal/analysis"
 	"edb/internal/arch"
+	"edb/internal/asm"
 	"edb/internal/core/codepatch"
 	"edb/internal/core/wms"
 	"edb/internal/minic"
@@ -36,16 +37,16 @@ int main() {
 }
 `
 
-// buildEngine builds a live Image over repatchSrc with the given
-// options, recording notifications.
-func buildEngine(t *testing.T, opt codepatch.PatchOptions) (*codepatch.Image, *[]wms.Notification) {
+// buildEngine builds a live Image over repatchSrc, optimised or plain,
+// recording notifications.
+func buildEngine(t *testing.T, optimize bool) (*codepatch.Image, *[]wms.Notification) {
 	t.Helper()
 	prog, err := minic.Compile(repatchSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var notifs []wms.Notification
-	img, err := codepatch.BuildImage(prog, opt, arch.PageSize4K, func(n wms.Notification) {
+	img, err := codepatch.BuildImage(prog, planIf(prog, optimize), arch.PageSize4K, func(n wms.Notification) {
 		notifs = append(notifs, n)
 	})
 	if err != nil {
@@ -54,8 +55,17 @@ func buildEngine(t *testing.T, opt codepatch.PatchOptions) (*codepatch.Image, *[
 	return img, &notifs
 }
 
+// planIf is the optimised check plan for prog, or nil for plain
+// CodePatch.
+func planIf(prog *asm.Program, optimize bool) *analysis.Plan {
+	if !optimize {
+		return nil
+	}
+	return analysis.PlanChecks(prog)
+}
+
 func TestBuildImageDeliversNotifications(t *testing.T) {
-	img, notifs := buildEngine(t, codepatch.PatchOptions{Optimize: true})
+	img, notifs := buildEngine(t, true)
 	r, ok := img.M.Image.Data["a"]
 	if !ok {
 		t.Fatal("no data symbol a")
@@ -83,16 +93,16 @@ func TestBuildImageRejectsDoublePatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{}); err != nil {
+	if _, err := codepatch.Patch(prog, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codepatch.BuildImage(prog, codepatch.PatchOptions{}, arch.PageSize4K, nil); err == nil {
+	if _, err := codepatch.BuildImage(prog, nil, arch.PageSize4K, nil); err == nil {
 		t.Fatal("BuildImage accepted an already-patched program")
 	}
 }
 
 func TestRewriteStoreErrors(t *testing.T) {
-	img, _ := buildEngine(t, codepatch.PatchOptions{Optimize: true})
+	img, _ := buildEngine(t, true)
 	if err := img.RewriteStore("no_such_fn", 0, 4); !errors.Is(err, codepatch.ErrNoSuchStore) {
 		t.Fatalf("unknown function: got %v, want ErrNoSuchStore", err)
 	}
@@ -111,7 +121,7 @@ func TestRewriteStoreErrors(t *testing.T) {
 // optimizer decisions that depend on bump; the working map shrinks, the
 // demoted set grows, and the image still proves sound.
 func TestRewriteStoreDemotes(t *testing.T) {
-	img, _ := buildEngine(t, codepatch.PatchOptions{Optimize: true})
+	img, _ := buildEngine(t, true)
 	before := 0
 	if img.DepMap() != nil {
 		before = len(img.DepMap().Sites)
@@ -132,9 +142,6 @@ func TestRewriteStoreDemotes(t *testing.T) {
 	if img.Stats.Demoted == 0 {
 		t.Error("no sites demoted by a rewrite in the elision's function")
 	}
-	if len(img.Demoted()) != img.Stats.Demoted {
-		t.Errorf("demoted set size %d != Stats.Demoted %d", len(img.Demoted()), img.Stats.Demoted)
-	}
 	if vs := img.Verify(); len(vs) != 0 {
 		t.Fatalf("post-rewrite image fails verification: %v", vs[0])
 	}
@@ -148,7 +155,7 @@ func TestRewriteStoreDemotes(t *testing.T) {
 // nothing to demote, but the lockstep pair rewrite and re-verification
 // still apply.
 func TestRewriteStoreUnoptimized(t *testing.T) {
-	img, _ := buildEngine(t, codepatch.PatchOptions{})
+	img, _ := buildEngine(t, false)
 	if img.DepMap() != nil {
 		t.Fatal("unoptimized image should have no dependence map")
 	}
@@ -173,7 +180,7 @@ func TestVerifyRepatchedRejectsAbuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true})
+	res, err := codepatch.Patch(prog, analysis.PlanChecks(prog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +220,7 @@ func TestRewriteFlipsFastSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codepatch.BuildImage(prog, codepatch.PatchOptions{Optimize: true}, arch.PageSize4K, nil)
+	img, err := codepatch.BuildImage(prog, analysis.PlanChecks(prog), arch.PageSize4K, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +255,7 @@ func TestRewriteFlipsFastSites(t *testing.T) {
 // rewrite touches exactly one word and the (demoted) image still
 // verifies.
 func TestRewriteElidedStore(t *testing.T) {
-	img, _ := buildEngine(t, codepatch.PatchOptions{Optimize: true})
+	img, _ := buildEngine(t, true)
 	if img.Res.EliminatedChecks == 0 {
 		t.Fatal("no elided checks; the test measures nothing")
 	}
@@ -269,7 +276,7 @@ func TestRewriteElidedStore(t *testing.T) {
 }
 
 func TestMonitorRangeErrors(t *testing.T) {
-	img, _ := buildEngine(t, codepatch.PatchOptions{Optimize: true})
+	img, _ := buildEngine(t, true)
 	if err := img.InstallMonitor(16, 16); err == nil {
 		t.Error("empty install range accepted")
 	}
@@ -285,7 +292,7 @@ func TestExpansionAccounting(t *testing.T) {
 	if (&codepatch.PatchResult{}).Expansion() != 0 {
 		t.Error("zero-word result must report zero expansion")
 	}
-	img, _ := buildEngine(t, codepatch.PatchOptions{Optimize: true})
+	img, _ := buildEngine(t, true)
 	if e := img.Res.Expansion(); e <= 0 {
 		t.Errorf("patched image reports non-positive expansion %v", e)
 	}
@@ -341,14 +348,14 @@ int main() {
 // store site has executed once retargets its second execution — the
 // text word and its check pair both changed under a running machine.
 func TestRewriteStoreBetweenExecutions(t *testing.T) {
-	for _, opt := range []codepatch.PatchOptions{{}, {Optimize: true}} {
-		t.Run(fmt.Sprintf("optimize=%v", opt.Optimize), func(t *testing.T) {
+	for _, optimize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("optimize=%v", optimize), func(t *testing.T) {
 			prog, err := minic.Compile(midRunSrc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var notifs []wms.Notification
-			img, err := codepatch.BuildImage(prog, opt, arch.PageSize4K, func(n wms.Notification) {
+			img, err := codepatch.BuildImage(prog, planIf(prog, optimize), arch.PageSize4K, func(n wms.Notification) {
 				notifs = append(notifs, n)
 			})
 			if err != nil {

@@ -86,7 +86,7 @@ func runStrategy(t *testing.T, name string) runResult {
 			t.Fatal(err)
 		}
 	case "cp":
-		if _, err = codepatch.Patch(prog); err != nil {
+		if _, err = codepatch.Patch(prog, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestNHCheapOnSparseHits(t *testing.T) {
 			t.Fatal(err)
 		}
 		if patchCP {
-			if _, err := codepatch.Patch(prog); err != nil {
+			if _, err := codepatch.Patch(prog, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -357,7 +357,7 @@ func TestCodePatchExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := codepatch.Patch(prog)
+	res, err := codepatch.Patch(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestPatchedProgramsProduceIdenticalOutput(t *testing.T) {
 
 	// CodePatch, unattached: the stub makes every check a no-op.
 	prog2, _ := minic.Compile(src)
-	_, _ = codepatch.Patch(prog2)
+	_, _ = codepatch.Patch(prog2, nil)
 	img2, _ := asm.Assemble(prog2)
 	m2, _ := kernel.NewMachine(img2, arch.PageSize4K)
 	if err := m2.Run(10_000_000); err != nil {

@@ -140,6 +140,3 @@ func (w *WMS) onFault(m *kernel.Machine, f *mem.Fault, in isa.Inst, pc arch.Addr
 // unprotected pages never reach the WMS (that is the whole point of the
 // strategy).
 func (w *WMS) Stats() wms.Stats { return w.svc.Stats() }
-
-// MonitoredPages returns the number of currently protected pages.
-func (w *WMS) MonitoredPages() int { return len(w.pageMonitors) }

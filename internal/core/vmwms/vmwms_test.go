@@ -46,8 +46,8 @@ func TestHitsMissesAndPages(t *testing.T) {
 	if err := w.InstallMonitor(g.BA, g.EA); err != nil {
 		t.Fatal(err)
 	}
-	if w.MonitoredPages() != 1 {
-		t.Errorf("monitored pages = %d", w.MonitoredPages())
+	if len(w.pageMonitors) != 1 {
+		t.Errorf("monitored pages = %d", len(w.pageMonitors))
 	}
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestHitsMissesAndPages(t *testing.T) {
 	if err := w.RemoveMonitor(g.BA, g.EA); err != nil {
 		t.Fatal(err)
 	}
-	if w.MonitoredPages() != 0 {
+	if len(w.pageMonitors) != 0 {
 		t.Error("page still protected after remove")
 	}
 	// Page must be writable again.

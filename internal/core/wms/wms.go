@@ -164,17 +164,6 @@ func (p *PageBitmap) Lookup(ba, ea arch.Addr) bool {
 // ActiveWords implements Index.
 func (p *PageBitmap) ActiveWords() int { return p.active }
 
-// Pages returns the number of pages holding at least one monitored word.
-func (p *PageBitmap) Pages() int { return len(p.pages) }
-
-// PageHasMonitors reports whether the 4 KiB page with the given page
-// number holds any monitored word. This is the fast-path query behind
-// the CodePatch memo optimisation.
-func (p *PageBitmap) PageHasMonitors(page uint32) bool {
-	_, ok := p.pages[page]
-	return ok
-}
-
 // ---------------------------------------------------------------------
 // IntervalIndex: sorted list of installed ranges (ablation baseline).
 // ---------------------------------------------------------------------

@@ -123,12 +123,12 @@ func TestPagesTracking(t *testing.T) {
 	base := arch.Addr(0x400000)
 	x.Install(base, base+4)
 	x.Install(base+8192, base+8196)
-	if x.Pages() != 2 {
-		t.Errorf("Pages = %d, want 2", x.Pages())
+	if len(x.pages) != 2 {
+		t.Errorf("pages = %d, want 2", len(x.pages))
 	}
 	x.Remove(base, base+4)
-	if x.Pages() != 1 {
-		t.Errorf("Pages after remove = %d, want 1", x.Pages())
+	if len(x.pages) != 1 {
+		t.Errorf("pages after remove = %d, want 1", len(x.pages))
 	}
 }
 

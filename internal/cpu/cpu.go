@@ -92,22 +92,25 @@ type CPU struct {
 
 	// text holds the predecoded text segment, indexed by
 	// (pc-TextBase)/4 and grown on demand up to the highest word
-	// executed. An entry whose Op is ILL is empty: illegal words are
+	// executed. An entry is a function of its text word alone (host
+	// routines are looked up at the jump), so only a change to text
+	// drops it: a write, or a protection change the next fetch must
+	// fault on. An entry whose Op is ILL is empty: illegal words are
 	// never cached, so they fault through the fill path every time.
-	text []decoded
+	text []isa.Inst
 	// hostFuncs holds the host routines by text word index, grown up to
 	// the highest registered.
 	hostFuncs []func(*CPU) error
 }
 
-// decoded is one predecoded text word: the instruction, its base cycle
-// cost and, for a JAL or a JALR off r0 (a constant target), the host
-// routine registered at the target, if any.
-type decoded struct {
-	in   isa.Inst
-	cost uint32
-	host func(*CPU) error
-}
+// opCost is each opcode's base cycle cost (isa.Inst.Cost), indexed by
+// the whole uint8 range so a lookup needs no bounds check.
+var opCost = func() (t [256]uint64) {
+	for op := range t {
+		t[op] = isa.Inst{Op: isa.Op(op)}.Cost()
+	}
+	return t
+}()
 
 // New returns a CPU attached to m with all state zeroed. It takes m's
 // OnTextChange hook: every write to text and every protection change
@@ -116,18 +119,6 @@ func New(m *mem.Memory) *CPU {
 	c := &CPU{Mem: m}
 	m.OnTextChange = c.dropText
 	return c
-}
-
-// constTarget returns the jump target of a JAL, or of a JALR off the
-// hard-wired zero register; other instructions have none.
-func constTarget(in isa.Inst) (arch.Addr, bool) {
-	switch {
-	case in.Op == isa.JAL:
-		return arch.Addr(uint32(in.Imm) * arch.WordBytes), true
-	case in.Op == isa.JALR && in.RS1 == isa.R0:
-		return arch.Addr(in.Imm), true
-	}
-	return 0, false
 }
 
 // RegisterHostFunc installs a host-implemented routine at text address a.
@@ -143,12 +134,6 @@ func (c *CPU) RegisterHostFunc(a arch.Addr, fn func(*CPU) error) {
 		c.hostFuncs = append(c.hostFuncs, make([]func(*CPU) error, i+1-len(c.hostFuncs))...)
 	}
 	c.hostFuncs[i] = fn
-	// Cached jumps resolved their target's host routine when decoded.
-	for j := range c.text {
-		if t, ok := constTarget(c.text[j].in); ok && t == a {
-			c.text[j] = decoded{}
-		}
-	}
 }
 
 // hostAt returns the host routine registered at a, or nil.
@@ -172,26 +157,22 @@ func (c *CPU) dropText(ba, ea arch.Addr) {
 // fill decodes the instruction at pc through the checked fetch path,
 // which raises every alignment, mapping and exec-protection fault, and
 // caches it when pc is in text.
-func (c *CPU) fill(pc arch.Addr) (decoded, error) {
+func (c *CPU) fill(pc arch.Addr) (isa.Inst, error) {
 	raw, err := c.Mem.FetchWord(pc)
 	if err != nil {
-		return decoded{}, &ExecError{PC: pc, Err: err}
+		return isa.Inst{}, &ExecError{PC: pc, Err: err}
 	}
 	in := isa.Decode(uint32(raw))
 	if !in.Op.Valid() {
-		return decoded{}, &ExecError{PC: pc, Err: fmt.Errorf("illegal instruction %#08x", raw)}
-	}
-	d := decoded{in: in, cost: uint32(in.Cost())}
-	if t, ok := constTarget(in); ok {
-		d.host = c.hostAt(t)
+		return isa.Inst{}, &ExecError{PC: pc, Err: fmt.Errorf("illegal instruction %#08x", raw)}
 	}
 	if i, ok := arch.TextWord(pc); ok {
 		if i >= len(c.text) {
-			c.text = append(c.text, make([]decoded, i+1-len(c.text))...)
+			c.text = append(c.text, make([]isa.Inst, i+1-len(c.text))...)
 		}
-		c.text[i] = d
+		c.text[i] = in
 	}
-	return d, nil
+	return in, nil
 }
 
 // ChargeCycles adds kernel or device service time to the cycle clock.
@@ -216,17 +197,16 @@ func (c *CPU) Step() error {
 		return nil
 	}
 	pc := c.PC
-	var d decoded
-	if i, ok := arch.TextWord(pc); ok && i < len(c.text) && c.text[i].in.Op != isa.ILL {
-		d = c.text[i]
+	var in isa.Inst
+	if i, ok := arch.TextWord(pc); ok && i < len(c.text) && c.text[i].Op != isa.ILL {
+		in = c.text[i]
 	} else {
 		var err error
-		if d, err = c.fill(pc); err != nil {
+		if in, err = c.fill(pc); err != nil {
 			return err
 		}
 	}
-	in := d.in
-	c.Cycles += uint64(d.cost)
+	c.Cycles += opCost[in.Op]
 	c.Instret++
 	next := pc + arch.WordBytes
 
@@ -335,7 +315,7 @@ func (c *CPU) Step() error {
 		if c.OnCall != nil {
 			c.OnCall(target, pc)
 		}
-		if h := d.host; h != nil {
+		if h := c.hostAt(target); h != nil {
 			if err := h(c); err != nil {
 				return &ExecError{PC: pc, Err: err}
 			}
@@ -358,11 +338,7 @@ func (c *CPU) Step() error {
 		} else if in.RD == isa.RA && c.OnCall != nil {
 			c.OnCall(target, pc)
 		}
-		h := d.host
-		if in.RS1 != isa.R0 {
-			h = c.hostAt(target)
-		}
-		if h != nil {
+		if h := c.hostAt(target); h != nil {
 			if err := h(c); err != nil {
 				return &ExecError{PC: pc, Err: err}
 			}

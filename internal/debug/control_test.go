@@ -24,7 +24,7 @@ func TestRunUntilBreakSuspends(t *testing.T) {
 	for _, strat := range Strategies {
 		strat := strat
 		t.Run(string(strat), func(t *testing.T) {
-			s, err := Launch(ctrlProg, strat, 0)
+			s, err := LaunchWith(ctrlProg, strat, LaunchConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestRunUntilBreakSuspends(t *testing.T) {
 }
 
 func TestWhereDuringBreak(t *testing.T) {
-	s, _ := Launch(ctrlProg, CodePatch, 0)
+	s, _ := LaunchWith(ctrlProg, CodePatch, LaunchConfig{})
 	if _, err := s.BreakOnData("counter"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWhereDuringBreak(t *testing.T) {
 }
 
 func TestReadSymbolIndex(t *testing.T) {
-	s, _ := Launch(ctrlProg, TrapPatch, 0)
+	s, _ := LaunchWith(ctrlProg, TrapPatch, LaunchConfig{})
 	if err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReadSymbolIndex(t *testing.T) {
 }
 
 func TestOutOfFuel(t *testing.T) {
-	s, _ := Launch(ctrlProg, CodePatch, 0)
+	s, _ := LaunchWith(ctrlProg, CodePatch, LaunchConfig{})
 	_, state, err := s.RunUntilBreak(10) // far too little
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestOutOfFuel(t *testing.T) {
 }
 
 func TestDataSymbolsSorted(t *testing.T) {
-	s, _ := Launch(ctrlProg, CodePatch, 0)
+	s, _ := LaunchWith(ctrlProg, CodePatch, LaunchConfig{})
 	syms := s.DataSymbols()
 	if len(syms) != 2 {
 		t.Fatalf("symbols = %v", syms)
@@ -150,7 +150,7 @@ func TestLiveWatchMidRun(t *testing.T) {
 	for _, strat := range Strategies {
 		strat := strat
 		t.Run(string(strat), func(t *testing.T) {
-			s, err := Launch(ctrlProg, strat, 0)
+			s, err := LaunchWith(ctrlProg, strat, LaunchConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestLiveWatchMidRun(t *testing.T) {
 // engine re-proves soundness after the edit.
 func TestRewriteStoreVerb(t *testing.T) {
 	for _, strat := range []Strategy{NativeHardware, VirtualMemory, TrapPatch} {
-		s, err := Launch(ctrlProg, strat, 0)
+		s, err := LaunchWith(ctrlProg, strat, LaunchConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestRewriteStoreVerb(t *testing.T) {
 	for _, strat := range []Strategy{CodePatch, CodePatchOpt} {
 		strat := strat
 		t.Run(string(strat), func(t *testing.T) {
-			s, err := Launch(ctrlProg, strat, 0)
+			s, err := LaunchWith(ctrlProg, strat, LaunchConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"edb/internal/analysis"
 	"edb/internal/arch"
 	"edb/internal/asm"
 	"edb/internal/core/codepatch"
@@ -115,9 +116,8 @@ type Session struct {
 	obs *obsv.Tracer
 }
 
-// LaunchConfig configures LaunchWith. The zero value matches
-// Launch(src, strat, 0): default page size, no observation, no fault
-// plan.
+// LaunchConfig configures LaunchWith. The zero value gives the default
+// page size, no observation and no fault plan.
 type LaunchConfig struct {
 	// PageSize is the machine page size (0 = arch.PageSize4K). It
 	// matters only for the VirtualMemory strategy.
@@ -132,15 +132,10 @@ type LaunchConfig struct {
 	FaultPlan *fault.Plan
 }
 
-// Launch compiles src with the mini-C compiler, applies whatever
+// LaunchWith compiles src with the mini-C compiler, applies whatever
 // compile-time patching the strategy requires, loads the image, and
-// attaches the WMS backend. pageSize matters only for VirtualMemory.
-func Launch(src string, strat Strategy, pageSize int) (*Session, error) {
-	return LaunchWith(src, strat, LaunchConfig{PageSize: pageSize})
-}
-
-// LaunchWith is Launch with explicit configuration: observation spans
-// around every launch phase and an optional fault plan.
+// attaches the WMS backend, with observation spans around every launch
+// phase and an optional fault plan.
 func LaunchWith(src string, strat Strategy, c LaunchConfig) (*Session, error) {
 	pageSize := c.PageSize
 	if pageSize == 0 {
@@ -165,9 +160,9 @@ func LaunchWith(src string, strat Strategy, c LaunchConfig) (*Session, error) {
 	case TrapPatch:
 		tpRes, err = trappatch.Patch(prog)
 	case CodePatch:
-		cpRes, err = codepatch.Patch(prog)
+		cpRes, err = codepatch.Patch(prog, nil)
 	case CodePatchOpt:
-		cpRes, err = codepatch.PatchWithOptions(prog, codepatch.PatchOptions{Optimize: true})
+		cpRes, err = codepatch.Patch(prog, analysis.PlanChecks(prog))
 	case NativeHardware, VirtualMemory:
 		// No compile-time transformation.
 	default:
@@ -271,9 +266,6 @@ func (s *Session) onHit(n wms.Notification) {
 	}
 	s.log = append(s.log, Hit{Breakpoint: name, BA: n.BA, EA: n.EA, PC: n.PC, Func: fn, Value: newVal})
 }
-
-// Backend exposes the underlying WMS.
-func (s *Session) Backend() Backend { return s.backend }
 
 // BreakOnData installs a data breakpoint on a global variable or a
 // function static (by its mangled "func$name" symbol).

@@ -24,7 +24,7 @@ int main() {
 
 func launch(t *testing.T, strat Strategy) *Session {
 	t.Helper()
-	s, err := Launch(testProg, strat, 0)
+	s, err := LaunchWith(testProg, strat, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBreakOnStatic(t *testing.T) {
 	src := `
 	int tick() { static int n = 0; n = n + 1; return n; }
 	int main() { tick(); tick(); return 0; }`
-	s, err := Launch(src, TrapPatch, 0)
+	s, err := LaunchWith(src, TrapPatch, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +196,16 @@ func TestReportRendering(t *testing.T) {
 }
 
 func TestLaunchErrors(t *testing.T) {
-	if _, err := Launch("not a program", CodePatch, 0); err == nil {
+	if _, err := LaunchWith("not a program", CodePatch, LaunchConfig{}); err == nil {
 		t.Error("bad source should fail")
 	}
-	if _, err := Launch(testProg, Strategy("bogus"), 0); err == nil {
+	if _, err := LaunchWith(testProg, Strategy("bogus"), LaunchConfig{}); err == nil {
 		t.Error("bad strategy should fail")
 	}
 }
 
 func TestVirtualMemory8K(t *testing.T) {
-	s, err := Launch(testProg, VirtualMemory, arch.PageSize8K)
+	s, err := LaunchWith(testProg, VirtualMemory, LaunchConfig{PageSize: arch.PageSize8K})
 	if err != nil {
 		t.Fatal(err)
 	}

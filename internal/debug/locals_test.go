@@ -24,7 +24,7 @@ func TestBreakOnLocalAllStrategies(t *testing.T) {
 	for _, strat := range Strategies {
 		strat := strat
 		t.Run(string(strat), func(t *testing.T) {
-			s, err := Launch(localProg, strat, 0)
+			s, err := LaunchWith(localProg, strat, LaunchConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestBreakOnLocalRecursion(t *testing.T) {
 		return r;
 	}
 	int main() { print(fact(5)); return 0; }`
-	s, err := Launch(src, CodePatch, 0)
+	s, err := LaunchWith(src, CodePatch, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBreakOnLocalRecursion(t *testing.T) {
 }
 
 func TestBreakOnLocalErrors(t *testing.T) {
-	s, _ := Launch(localProg, CodePatch, 0)
+	s, _ := LaunchWith(localProg, CodePatch, LaunchConfig{})
 	if _, err := s.BreakOnLocal("nosuch", "x"); err == nil {
 		t.Error("unknown function should fail")
 	}
@@ -107,7 +107,7 @@ func TestBreakOnLocalErrors(t *testing.T) {
 }
 
 func TestClearLocalWatch(t *testing.T) {
-	s, _ := Launch(localProg, CodePatch, 0)
+	s, _ := LaunchWith(localProg, CodePatch, LaunchConfig{})
 	if _, err := s.BreakOnLocal("helper", "acc"); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestConditionalBreakpoint(t *testing.T) {
 		for (i = 0; i < 10; i = i + 1) { level = i * 10; }
 		return 0;
 	}`
-	s, err := Launch(src, CodePatch, 0)
+	s, err := LaunchWith(src, CodePatch, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestConditionSeesOldValue(t *testing.T) {
 		v = 3;
 		return 0;
 	}`
-	s, _ := Launch(src, TrapPatch, 0)
+	s, _ := LaunchWith(src, TrapPatch, LaunchConfig{})
 	bp, _ := s.BreakOnData("v")
 	// Trigger only on changes.
 	bp.Condition = func(old, new int32) bool { return old != new }
@@ -189,7 +189,7 @@ func TestLocalWatchOnHardwareExhaustion(t *testing.T) {
 		return x;
 	}
 	int main() { print(down(10)); return 0; }`
-	s, err := Launch(src, NativeHardware, 0)
+	s, err := LaunchWith(src, NativeHardware, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

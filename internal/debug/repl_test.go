@@ -14,7 +14,7 @@ int main() { bump(2); bump(3); print(counter); return 0; }
 
 func runREPL(t *testing.T, script string) string {
 	t.Helper()
-	s, err := Launch(replProg, CodePatch, 0)
+	s, err := LaunchWith(replProg, CodePatch, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ q
 // TestREPLRewriteWithoutEngine: strategies without a re-patching engine
 // refuse the verb with a typed error, not a crash.
 func TestREPLRewriteWithoutEngine(t *testing.T) {
-	s, err := Launch(replProg, VirtualMemory, 0)
+	s, err := LaunchWith(replProg, VirtualMemory, LaunchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

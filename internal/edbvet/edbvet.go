@@ -1,5 +1,5 @@
 // Package edbvet is this repository's custom vet pass suite, run by
-// `make lint` alongside the patch-soundness lint. It enforces three
+// `make lint` alongside the patch-soundness lint. It enforces four
 // repo-specific contracts that ordinary `go vet` cannot know about:
 //
 //   - obsvnil: exported pointer-receiver methods on the observability
@@ -11,6 +11,9 @@
 //     fault.Site bypasses the chaos harness's site enumeration.
 //   - maporder: ranging over a map while feeding report/result output
 //     is a determinism hazard — collect the keys, sort, then emit.
+//   - unused: an exported identifier under internal/ that no non-test
+//     code in the module uses and no other package's test names is
+//     code only its own tests reach — delete it (see unused.go).
 //
 // A finding can be suppressed with a directive comment on the
 // offending declaration or the line above the offending statement:
@@ -206,8 +209,11 @@ func moduleName(root string) (string, error) {
 }
 
 // findPackageDirs walks root for directories holding non-test Go files.
+// A directory's files and subdirectories interleave in the walk, so a
+// directory is listed on its first file only.
 func findPackageDirs(root string) ([]string, error) {
 	var dirs []string
+	seen := make(map[string]bool)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -220,8 +226,8 @@ func findPackageDirs(root string) ([]string, error) {
 			return nil
 		}
 		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			if dir := filepath.Dir(path); !seen[dir] {
+				seen[dir] = true
 				dirs = append(dirs, dir)
 			}
 		}
@@ -277,6 +283,11 @@ func Run(root string) ([]Finding, error) {
 		findings = append(findings, checkFaultSite(p, reg)...)
 		findings = append(findings, checkMapOrder(p)...)
 	}
+	unused, err := checkUnused(root, module, pkgs)
+	if err != nil {
+		return nil, err
+	}
+	findings = append(findings, unused...)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
 		if a.Filename != b.Filename {

@@ -3,6 +3,7 @@ package edbvet
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -350,6 +351,116 @@ func (t *Tracer) Collect() []trace.Event {
 	}
 	if got := count(fs, "maporder"); got != 2 {
 		t.Errorf("want exactly 2 maporder findings, got %d: %v", got, fs)
+	}
+}
+
+// TestUnusedCheck: an exported identifier is reported when only its
+// own package's tests reach it, and kept when non-test code uses it,
+// another package's test names it, an interface call can reach it, or
+// an allow directive says why it stays.
+func TestUnusedCheck(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module tvet\n\ngo 1.22\n",
+		"internal/lib/lib.go": `package lib
+
+// OwnTestOnly is named only by this package's test: reported.
+func OwnTestOnly() int { return 1 }
+
+// OtherTest is named by another package's test.
+func OtherTest() int { return 2 }
+
+// Aliased is named by another package's test through an alias.
+func Aliased() int { return 3 }
+
+// Used is called by non-test code in another package.
+func Used() int { return 4 }
+
+// Seam stays for the tests on purpose.
+//
+//edbvet:allow unused -- test seam
+func Seam() int { return 5 }
+
+// Lonely is named by nothing at all: reported.
+const Lonely = 6
+
+type Impl struct{}
+
+// Do satisfies iface.Doer: a call through the interface names Doer.Do.
+func (Impl) Do() {}
+
+// String satisfies fmt.Stringer, which the module never names.
+func (Impl) String() string { return "impl" }
+
+// Selected is selected by another package's test.
+func (Impl) Selected() {}
+
+// Dead is called by nothing: reported.
+func (Impl) Dead() {}
+`,
+		"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestOwn(t *testing.T) {
+	_ = OwnTestOnly() + Seam()
+	Impl{}.Dead()
+}
+`,
+		"internal/iface/iface.go": `package iface
+
+import "tvet/internal/lib"
+
+type Doer interface{ Do() }
+
+func Run() int {
+	var d Doer = lib.Impl{}
+	d.Do()
+	return lib.Used()
+}
+`,
+		"internal/iface/iface_test.go": `package iface
+
+import (
+	"testing"
+
+	"tvet/internal/lib"
+	l "tvet/internal/lib"
+)
+
+func TestOther(t *testing.T) {
+	_ = lib.OtherTest() + l.Aliased()
+	lib.Impl{}.Selected()
+}
+`,
+		"cmd/tool/main.go": `package main
+
+import "tvet/internal/iface"
+
+func main() { _ = iface.Run() }
+`,
+		"pub/pub.go": `package pub
+
+// Exported outside internal/ is never reported.
+func Exported() {}
+`,
+	})
+	fs, err := Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"func OwnTestOnly has", "const Lonely has", "method Dead has"} {
+		if !has(fs, "unused", want) {
+			t.Errorf("%q not reported: %v", want, fs)
+		}
+	}
+	if got := count(fs, "unused"); got != 3 {
+		t.Errorf("want exactly 3 unused findings, got %d: %v", got, fs)
+	}
+	if !sort.SliceIsSorted(fs, func(i, j int) bool {
+		a, b := fs[i].Pos, fs[j].Pos
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
+	}) {
+		t.Errorf("findings not sorted by position: %v", fs)
 	}
 }
 

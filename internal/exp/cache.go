@@ -38,10 +38,6 @@ type artifacts struct {
 
 	// expansionOpt is the code expansion under the optimized patcher.
 	expansionOpt float64
-	// interproc is the cached whole-program interprocedural layer (call
-	// graph, write summaries, entry facts) over the traced program —
-	// computed once per (benchmark, scale) under its own phase span.
-	interproc *analysis.Interproc
 	// Static check-optimization plan totals for the benchmark.
 	// eliminatedIntra is the intraproc-only ablation count (how many of
 	// the eliminated checks the single-function planner already got).
@@ -50,21 +46,14 @@ type artifacts struct {
 	// issued by stores whose statically planned check is elided / fast.
 	// These parameterise the CPOpt analytical model.
 	elideFrac, fastFrac float64
-
-	// prog and gen pin the artifacts to the image generation they were
-	// computed against. A mid-run re-patch (NoteImageMutation) bumps the
-	// program's generation: the interproc layer, check-class plan, and
-	// prepass above all describe the pre-mutation image, so any use of
-	// an older-generation artifact must fail with StaleArtifactError
-	// instead of silently reusing invalidated decisions.
-	prog string
-	gen  uint64
 }
 
 // cacheKey identifies one (benchmark, scale) pipeline. Name and Fuel
 // alone would suffice for the built-in generators (Fuel scales with the
 // run length), but the source hash also keys correctly for any future
-// caller that feeds hand-edited sources through RunProgram.
+// caller that feeds hand-edited sources through runProgram. An
+// artifact is a function of its key alone, so nothing else can make a
+// cached one stale.
 type cacheKey struct {
 	name    string
 	fuel    uint64
@@ -91,72 +80,10 @@ var (
 	cacheMu sync.Mutex
 	cache   = make(map[cacheKey]*cacheEntry)
 
-	// mutGens counts mid-run image mutations per program name. An
-	// artifact built at generation g is valid only while the program's
-	// generation is still g.
-	mutGens = make(map[string]uint64)
-
 	// builds counts cold (uncached) pipeline builds, for the
 	// single-flight tests and cache diagnostics.
 	builds atomic.Int64
 )
-
-// imageGen reports program's current image generation.
-func imageGen(program string) uint64 {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return mutGens[program]
-}
-
-// StaleArtifactError reports an attempt to consume cached
-// compile/trace artifacts built before a mid-run image mutation. The
-// cached interprocedural layer, check-class plan, and replay prepass
-// all describe the pre-mutation image; reusing them silently would
-// reintroduce exactly the invalidated-optimizer-decision bugs the
-// incremental re-patching engine exists to prevent.
-type StaleArtifactError struct {
-	Program    string
-	BuiltGen   uint64
-	CurrentGen uint64
-}
-
-func (e *StaleArtifactError) Error() string {
-	return fmt.Sprintf("exp: cached artifacts for %s are stale: built at image generation %d, now %d (a mid-run re-patch invalidated the cached analysis; rebuild via cachedArtifacts)",
-		e.Program, e.BuiltGen, e.CurrentGen)
-}
-
-// fresh returns a StaleArtifactError when the artifacts predate the
-// program's latest image mutation.
-func (a *artifacts) fresh() error {
-	if cur := imageGen(a.prog); cur != a.gen {
-		return &StaleArtifactError{Program: a.prog, BuiltGen: a.gen, CurrentGen: cur}
-	}
-	return nil
-}
-
-// NoteImageMutation records a mid-run mutation of program's live image
-// (monitor install/remove, store rewrite): the program's cached
-// artifacts are evicted, and any still-held reference to them fails
-// its next use with StaleArtifactError. Hosts wire this up with
-// TrackImage; the next cachedArtifacts call rebuilds from the mutated
-// source of truth.
-func NoteImageMutation(program string) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	mutGens[program]++
-	for k := range cache {
-		if k.name == program {
-			delete(cache, k)
-		}
-	}
-}
-
-// TrackImage invalidates program's cached artifacts on every
-// successful incremental mutation of img — the glue between the live
-// re-patching engine and this cache.
-func TrackImage(img *codepatch.Image, program string) {
-	img.SetMutationHook(func() { NoteImageMutation(program) })
-}
 
 // ResetCache drops every cached compile/trace artifact. Long-running
 // hosts (the REPL, repeated benchmark harnesses) can call this to bound
@@ -165,13 +92,6 @@ func ResetCache() {
 	cacheMu.Lock()
 	cache = make(map[cacheKey]*cacheEntry)
 	cacheMu.Unlock()
-}
-
-// CacheSize reports the number of cached (benchmark, scale) pipelines.
-func CacheSize() int {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return len(cache)
 }
 
 func keyFor(p progs.Program) cacheKey {
@@ -204,28 +124,14 @@ func cachedArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.art != nil {
-		// A mutation can land between the map lookup above and taking
-		// the entry lock; an entry that went stale in that window is
-		// dead, not reusable.
-		if e.art.fresh() != nil {
-			e.art = nil
-		} else {
-			o.cacheResult(p.Name, true)
-			return e.art, nil
-		}
+		o.cacheResult(p.Name, true)
+		return e.art, nil
 	}
 	o.cacheResult(p.Name, false)
-	genAtStart := imageGen(p.Name)
 	ps := o.phase(p.Name, PhaseBuild)
 	art, err := buildArtifacts(p, o)
 	ps.done(err)
 	if err != nil {
-		return nil, err
-	}
-	art.prog, art.gen = p.Name, genAtStart
-	// A mutation that raced the build makes this result stale before it
-	// was ever cached: surface the typed error, memoise nothing.
-	if err := art.fresh(); err != nil {
 		return nil, err
 	}
 	e.art = art
@@ -274,32 +180,18 @@ func buildArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 	a := &artifacts{tr: tr, pp: pp}
 	stores, total := img.CountStores()
 	a.storeFraction = float64(stores) / float64(total)
-	// The check plan builds the interprocedural layer once; the
-	// artifacts keep that layer, and the measure phase below uses the
-	// plan. The plan runs over the same unpatched program the trace was
-	// taken from, so traced write PCs line up with its layout.
+	// The check plan builds the interprocedural layer once. It runs over
+	// the same unpatched program the trace was taken from, so traced
+	// write PCs line up with its layout.
 	ps = o.phase(p.Name, PhaseSummaries)
 	plan := analysis.PlanChecks(prog)
-	a.interproc = plan.Interproc
 	ps.done(nil)
 	ps = o.phase(p.Name, PhaseMeasure)
 	defer ps.done(nil)
-	// Code-expansion estimate for CodePatch (patches a fresh compile).
-	if prog2, err := minic.Compile(p.Source); err == nil {
-		if pr, err := codepatch.Patch(prog2); err == nil {
-			a.expansion = pr.Expansion()
-		}
-	}
-	// Optimized-patcher expansion, again on a fresh compile (patching
-	// mutates the program).
-	if prog3, err := minic.Compile(p.Source); err == nil {
-		if pr, err := codepatch.PatchWithOptions(prog3, codepatch.PatchOptions{Optimize: true}); err == nil {
-			a.expansionOpt = pr.Expansion()
-		}
-	}
 	// CP-opt check-class statistics: each dynamic write is classified by
 	// the check class its store was statically assigned, looked up by
-	// text word.
+	// text word. This reads the unpatched layout, so it runs before the
+	// optimised patch below rewrites prog.
 	a.eliminated, a.eliminatedIntra, a.fastChecks, a.hoisted =
 		plan.EliminatedChecks, plan.EliminatedIntra, plan.FastChecks, plan.HoistedChecks
 	classOf := make([]analysis.CheckClass, len(img.Text))
@@ -334,6 +226,17 @@ func buildArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 	if nWrites > 0 {
 		a.elideFrac = float64(nElide) / float64(nWrites)
 		a.fastFrac = float64(nFast) / float64(nWrites)
+	}
+	// Code expansion under the optimised patcher: the traced program
+	// itself, patched with the plan above.
+	if pr, err := codepatch.Patch(prog, plan); err == nil {
+		a.expansionOpt = pr.Expansion()
+	}
+	// Code expansion under plain CodePatch, on a fresh compile.
+	if prog2, err := minic.Compile(p.Source); err == nil {
+		if pr, err := codepatch.Patch(prog2, nil); err == nil {
+			a.expansion = pr.Expansion()
+		}
 	}
 	return a, nil
 }

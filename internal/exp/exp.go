@@ -250,26 +250,16 @@ func (r *ProgramResult) RelativeSamples(s model.Strategy) []float64 {
 	return out
 }
 
-// RunProgram executes the full pipeline for one benchmark. The
+// runProgram executes the full pipeline for one benchmark, with the
+// run's observation bundle threaded through (nil = disabled). The
 // compile + trace half (phase 1) is served from the package cache keyed
 // by (benchmark, scale): repeated runs — the REPL, cmd/edb-experiment
 // invocations in one process, benchmark harnesses — pay for compilation
 // and tracing once, and only re-run the analysis under the requested
-// timing profile.
-func RunProgram(p progs.Program, timings model.Timings) (*ProgramResult, error) {
-	return RunProgramContext(context.Background(), p, timings)
-}
-
-// RunProgramContext is RunProgram under a context: cancellation is
-// observed between the pipeline's phases (before the compile/trace
-// build and before the analysis pass), so a deadline bounds the run to
-// roughly one phase's granularity.
-func RunProgramContext(ctx context.Context, p progs.Program, timings model.Timings) (*ProgramResult, error) {
-	return runProgram(ctx, p, timings, nil)
-}
-
-// runProgram is RunProgramContext with the run's observation bundle
-// threaded through (nil = disabled).
+// timing profile. Cancellation is observed between the pipeline's
+// phases (before the compile/trace build and before the analysis
+// pass), so a deadline bounds the run to roughly one phase's
+// granularity.
 func runProgram(ctx context.Context, p progs.Program, timings model.Timings, o *obs) (*ProgramResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", p.Name, err)
@@ -297,8 +287,8 @@ func runProgram(ctx context.Context, p progs.Program, timings model.Timings, o *
 
 // Analyze runs phase 2 and the models over an existing trace. Without
 // the compile-side artifacts the CP-opt check-class fractions are
-// unknown, so the CPOpt column degenerates to CP; RunProgram threads
-// the real fractions through.
+// unknown, so the CPOpt column degenerates to CP; Run threads the real
+// fractions through.
 func Analyze(tr *trace.Trace, timings model.Timings) (*ProgramResult, error) {
 	return analyze(tr, nil, timings, 0, 0, nil)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -218,17 +219,17 @@ func TestRelativeInvariantsPerSession(t *testing.T) {
 }
 
 func TestAnalyzeRejectsNothing(t *testing.T) {
-	// Analyze must work on a minimal trace via RunProgram of the
+	// Analyze must work on a minimal trace via runProgram of the
 	// smallest benchmark with a different timing profile.
 	p, _ := progs.ByName("bps", 1)
 	alt := model.Paper
 	alt.SoftwareLookup = 1.0
-	r, err := RunProgram(p, alt)
+	r, err := runProgram(context.Background(), p, alt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Halving-ish the lookup cost must reduce CP overhead accordingly.
-	base, _ := RunProgram(p, model.Paper)
+	base, _ := runProgram(context.Background(), p, model.Paper, nil)
 	if r.Summaries[model.CP].TMean >= base.Summaries[model.CP].TMean {
 		t.Error("cheaper lookup did not reduce CP overhead")
 	}
@@ -253,11 +254,11 @@ func TestRunUnknownProgram(t *testing.T) {
 func TestScaleInvariance(t *testing.T) {
 	p1, _ := progs.ByName("qcd", 1)
 	p2, _ := progs.ByName("qcd", 2)
-	r1, err := RunProgram(p1, model.Paper)
+	r1, err := runProgram(context.Background(), p1, model.Paper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunProgram(p2, model.Paper)
+	r2, err := runProgram(context.Background(), p2, model.Paper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

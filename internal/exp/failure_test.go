@@ -236,7 +236,7 @@ func TestRetryAbsorbsTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunProgram(p, model.Paper)
+	base, err := runProgram(context.Background(), p, model.Paper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestCacheDoesNotMemoiseFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunProgram(p, model.Paper); err == nil {
+		if _, err := runProgram(context.Background(), p, model.Paper, nil); err == nil {
 			t.Fatal("expected injected build failure")
 		} else if !fault.IsInjected(err) {
 			t.Fatalf("untyped build failure: %v", err)
@@ -301,7 +301,7 @@ func TestCacheDoesNotMemoiseFailures(t *testing.T) {
 		// no artifacts — asserted behaviourally by the rebuild below.)
 		// Fault window (Times: 1) has passed: the rebuild succeeds.
 		start := builds.Load()
-		res, err := RunProgram(p, model.Paper)
+		res, err := runProgram(context.Background(), p, model.Paper, nil)
 		if err != nil {
 			t.Fatalf("failure was memoised: %v", err)
 		}
@@ -312,7 +312,7 @@ func TestCacheDoesNotMemoiseFailures(t *testing.T) {
 			t.Errorf("rebuild after failure ran %d builds, want 1", got)
 		}
 		// And a third call is served from the cache.
-		if _, err := RunProgram(p, model.Paper); err != nil {
+		if _, err := runProgram(context.Background(), p, model.Paper, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := builds.Load() - start; got != 1 {

@@ -1,16 +1,15 @@
-// Admission control for the experiment pipeline: a weighted semaphore
-// with a bounded FIFO wait queue. The serving layer (internal/serve)
-// shares one pool across every tenant's submissions — replay requests
-// and full experiment runs alike — so the pipeline can be loaded to
-// capacity but never past it: when the queue is full the caller gets
-// ErrGateOverloaded immediately (the server converts it into a 429
-// with Retry-After) instead of piling up goroutines until collapse.
+// Admission control for the experiment pipeline. The serving layer
+// (internal/serve) shares one pool across every tenant's submissions —
+// replay requests and full experiment runs alike — so the pipeline can
+// be loaded to capacity but never past it: when its queue is full the
+// caller gets ErrGateOverloaded immediately (the server converts it
+// into a 429 with Retry-After) instead of piling up goroutines until
+// collapse.
 package exp
 
 import (
 	"context"
 	"errors"
-	"sync"
 )
 
 // ErrGateOverloaded is returned by Acquire when the wait queue is
@@ -25,124 +24,8 @@ var ErrGateOverloaded = errors.New("exp: admission gate overloaded")
 // on success it returns a release function that must be called exactly
 // once.
 //
-// The serving layer implements Gate with per-tenant fair queueing; the
-// in-package FIFOGate is the plain bounded-queue implementation.
+// The serving layer implements Gate with per-tenant fair queueing
+// (serve.Admission).
 type Gate interface {
 	Acquire(ctx context.Context, weight int64) (release func(), err error)
-}
-
-// gateWaiter is one queued Acquire.
-type gateWaiter struct {
-	weight int64
-	ready  chan struct{}
-}
-
-// FIFOGate is a weighted semaphore with a bounded FIFO wait queue.
-// Grants are strictly in arrival order (no barging): a heavy waiter at
-// the head blocks lighter ones behind it, which is what makes the
-// grant order fair and starvation-free.
-type FIFOGate struct {
-	mu       sync.Mutex
-	capacity int64
-	inUse    int64
-	maxQueue int
-	queue    []*gateWaiter
-}
-
-// NewGate returns a gate with the given capacity (in weight units; <1
-// is clamped to 1) and wait-queue bound (<0 means an unbounded queue,
-// 0 means no queueing — Acquire only succeeds when capacity is free).
-func NewGate(capacity int64, maxQueue int) *FIFOGate {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FIFOGate{capacity: capacity, maxQueue: maxQueue}
-}
-
-// Acquire obtains weight units of capacity, waiting in FIFO order.
-// Weights above the gate's capacity are clamped to it (the request is
-// as heavy as the pool allows, not rejected). Returns
-// ErrGateOverloaded without blocking when the wait queue is full, or
-// ctx.Err() if the context ends first.
-func (g *FIFOGate) Acquire(ctx context.Context, weight int64) (func(), error) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > g.capacity {
-		weight = g.capacity
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	if len(g.queue) == 0 && g.inUse+weight <= g.capacity {
-		g.inUse += weight
-		g.mu.Unlock()
-		return g.releaseFunc(weight), nil
-	}
-	if g.maxQueue >= 0 && len(g.queue) >= g.maxQueue {
-		g.mu.Unlock()
-		return nil, ErrGateOverloaded
-	}
-	w := &gateWaiter{weight: weight, ready: make(chan struct{})}
-	g.queue = append(g.queue, w)
-	g.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		return g.releaseFunc(weight), nil
-	case <-ctx.Done():
-		g.mu.Lock()
-		select {
-		case <-w.ready:
-			// Granted concurrently with cancellation: keep the
-			// accounting consistent by releasing the grant here.
-			g.inUse -= weight
-			g.grantLocked()
-		default:
-			for i, q := range g.queue {
-				if q == w {
-					g.queue = append(g.queue[:i], g.queue[i+1:]...)
-					break
-				}
-			}
-		}
-		g.mu.Unlock()
-		return nil, ctx.Err()
-	}
-}
-
-// releaseFunc returns the idempotent release closure for one grant.
-func (g *FIFOGate) releaseFunc(weight int64) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.mu.Lock()
-			g.inUse -= weight
-			g.grantLocked()
-			g.mu.Unlock()
-		})
-	}
-}
-
-// grantLocked wakes queued waiters, head-first, while capacity lasts.
-// Callers hold g.mu.
-func (g *FIFOGate) grantLocked() {
-	for len(g.queue) > 0 {
-		w := g.queue[0]
-		if g.inUse+w.weight > g.capacity {
-			return
-		}
-		g.queue = g.queue[1:]
-		g.inUse += w.weight
-		close(w.ready)
-	}
-}
-
-// Stats reports the gate's current load: weight units in use and
-// requests waiting.
-func (g *FIFOGate) Stats() (inUse int64, queued int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inUse, len(g.queue)
 }

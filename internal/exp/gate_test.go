@@ -4,173 +4,34 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestGateCapacity: at most capacity weight units are ever in use.
-func TestGateCapacity(t *testing.T) {
-	g := NewGate(2, -1)
-	var inUse, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			release, err := g.Acquire(context.Background(), 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			n := inUse.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inUse.Add(-1)
-			release()
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d exceeds capacity 2", p)
-	}
-	if u, q := g.Stats(); u != 0 || q != 0 {
-		t.Errorf("gate not drained: inUse=%d queued=%d", u, q)
-	}
+// slotGate is a one-slot Gate: Acquire waits for the slot or, with
+// shed set, fails at once with ErrGateOverloaded when it is taken.
+type slotGate struct {
+	slot chan struct{}
+	shed bool
 }
 
-// TestGateQueueBound: a full queue sheds immediately with
-// ErrGateOverloaded instead of blocking.
-func TestGateQueueBound(t *testing.T) {
-	g := NewGate(1, 1)
-	hold, err := g.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One waiter fits in the queue...
-	done := make(chan error, 1)
-	go func() {
-		release, err := g.Acquire(context.Background(), 1)
-		if err == nil {
-			release()
-		}
-		done <- err
-	}()
-	// ...wait until it is actually queued, then the next must shed.
-	for {
-		if _, q := g.Stats(); q == 1 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if _, err := g.Acquire(context.Background(), 1); !errors.Is(err, ErrGateOverloaded) {
-		t.Fatalf("full queue: err = %v, want ErrGateOverloaded", err)
-	}
-	hold()
-	if err := <-done; err != nil {
-		t.Fatalf("queued waiter: %v", err)
-	}
-}
+func newSlotGate(shed bool) *slotGate { return &slotGate{slot: make(chan struct{}, 1), shed: shed} }
 
-// TestGateContextCancel: a canceled waiter leaves the queue and later
-// grants still flow.
-func TestGateContextCancel(t *testing.T) {
-	g := NewGate(1, -1)
-	hold, err := g.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := g.Acquire(ctx, 1)
-		errc <- err
-	}()
-	for {
-		if _, q := g.Stats(); q == 1 {
-			break
+func (g *slotGate) Acquire(ctx context.Context, _ int64) (func(), error) {
+	if g.shed {
+		select {
+		case g.slot <- struct{}{}:
+		default:
+			return nil, ErrGateOverloaded
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled waiter: err = %v, want context.Canceled", err)
-	}
-	if _, q := g.Stats(); q != 0 {
-		t.Errorf("canceled waiter still queued")
-	}
-	hold()
-	release, err := g.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("gate wedged after cancellation: %v", err)
-	}
-	release()
-}
-
-// TestGateWeightClamp: weights above capacity are clamped, not
-// rejected, and heavy grants exclude everything else.
-func TestGateWeightClamp(t *testing.T) {
-	g := NewGate(4, -1)
-	release, err := g.Acquire(context.Background(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u, _ := g.Stats(); u != 4 {
-		t.Errorf("clamped weight in use = %d, want 4", u)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := g.Acquire(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("gate admitted past a full-capacity grant: %v", err)
-	}
-	release()
-}
-
-// TestGateFIFOOrder: grants happen in arrival order.
-func TestGateFIFOOrder(t *testing.T) {
-	g := NewGate(1, -1)
-	hold, err := g.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			release, err := g.Acquire(context.Background(), 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			release()
-		}(i)
-		// Serialise arrival so FIFO order is observable.
-		for {
-			if _, q := g.Stats(); q == i+1 {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
+	} else {
+		select {
+		case g.slot <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-	hold()
-	wg.Wait()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("grant order %v is not FIFO", order)
-		}
-	}
+	return func() { <-g.slot }, nil
 }
 
 // TestRunWithGate: Config.Gate bounds the pipeline's benchmark
@@ -181,7 +42,7 @@ func TestRunWithGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGate(1, -1)
+	g := newSlotGate(false)
 	got, err := Run(Config{Programs: chaosPrograms, Workers: 4, Gate: g})
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +50,8 @@ func TestRunWithGate(t *testing.T) {
 	for i := range base {
 		sameResults(t, "gated", base[i], got[i])
 	}
-	if u, q := g.Stats(); u != 0 || q != 0 {
-		t.Errorf("gate not drained after Run: inUse=%d queued=%d", u, q)
+	if n := len(g.slot); n != 0 {
+		t.Errorf("gate not drained after Run: %d grant(s) unreleased", n)
 	}
 }
 
@@ -199,7 +60,7 @@ func TestRunWithGate(t *testing.T) {
 // KeepGoing mode.
 func TestRunGateOverloaded(t *testing.T) {
 	ResetCache()
-	g := NewGate(1, 0)
+	g := newSlotGate(true)
 	release, err := g.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -184,7 +185,10 @@ func TestCacheSingleFlight(t *testing.T) {
 	if got := builds.Load() - start; got != int64(len(progsList)) {
 		t.Errorf("cold builds = %d, want %d (single-flight violated)", got, len(progsList))
 	}
-	if got := CacheSize(); got != len(progsList) {
+	cacheMu.Lock()
+	got := len(cache)
+	cacheMu.Unlock()
+	if got != len(progsList) {
 		t.Errorf("cache size = %d, want %d", got, len(progsList))
 	}
 }
@@ -196,11 +200,11 @@ func TestCacheKeysByScale(t *testing.T) {
 	start := builds.Load()
 	p1, _ := progs.ByName("qcd", 1)
 	p2, _ := progs.ByName("qcd", 2)
-	r1, err := RunProgram(p1, model.Paper)
+	r1, err := runProgram(context.Background(), p1, model.Paper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunProgram(p2, model.Paper)
+	r2, err := runProgram(context.Background(), p2, model.Paper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,7 @@ func TestCacheKeysByScale(t *testing.T) {
 			r2.TotalWrites, r1.TotalWrites)
 	}
 	// A repeated scale-1 run is served from the cache.
-	if _, err := RunProgram(p1, model.Paper); err != nil {
+	if _, err := runProgram(context.Background(), p1, model.Paper, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := builds.Load() - start; got != 2 {
@@ -226,13 +230,13 @@ func TestCacheServesAllTimingProfiles(t *testing.T) {
 	ResetCache()
 	start := builds.Load()
 	p, _ := progs.ByName("bps", 1)
-	a, err := RunProgram(p, model.Paper)
+	a, err := runProgram(context.Background(), p, model.Paper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alt := model.Paper
 	alt.SoftwareLookup = model.Paper.SoftwareLookup / 2
-	b, err := RunProgram(p, alt)
+	b, err := runProgram(context.Background(), p, alt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

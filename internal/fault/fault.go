@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,30 +216,6 @@ func NewPlan(seed int64, rules ...Rule) *Plan {
 	}
 }
 
-// SeededRule derives a deterministic rule for site from seed: the kind
-// is drawn from kinds, the key from keys (nil = unkeyed), and a small
-// After/Times window from the same stream. Equal inputs yield equal
-// rules, which is how the chaos harness sweeps fault space
-// reproducibly.
-func SeededRule(seed int64, site Site, keys []string, kinds ...Kind) Rule {
-	if len(kinds) == 0 {
-		panic("fault: SeededRule needs at least one kind")
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", site, seed)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	r := Rule{
-		Site:  site,
-		Kind:  kinds[rng.Intn(len(kinds))],
-		After: uint64(rng.Intn(3)),
-		Times: uint64(1 + rng.Intn(2)),
-	}
-	if len(keys) > 0 {
-		r.Key = keys[rng.Intn(len(keys))]
-	}
-	return r
-}
-
 // active is the globally installed plan; nil means injection is
 // disabled and every site is a single atomic load.
 var active atomic.Pointer[Plan]
@@ -285,25 +260,11 @@ func Activate(p *Plan) { active.Store(p) }
 // Deactivate disables fault injection.
 func Deactivate() { active.Store(nil) }
 
-// Enabled reports whether a plan is active.
-func Enabled() bool { return active.Load() != nil }
-
 // Fired reports how many injections have fired at site under this plan.
 func (p *Plan) Fired(site Site) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.fired[site]
-}
-
-// FiredTotal reports how many injections have fired across all sites.
-func (p *Plan) FiredTotal() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var n uint64
-	for _, c := range p.fired {
-		n += c
-	}
-	return n
 }
 
 // match returns the first armed rule covering this invocation, or nil.

@@ -165,12 +165,6 @@ func (a *Allocator) Realloc(addr arch.Addr, size int) (arch.Addr, error) {
 	return newAddr, nil
 }
 
-// SizeOf returns the allocated size of the block at addr (0 if not
-// allocated).
-func (a *Allocator) SizeOf(addr arch.Addr) int {
-	return int(a.sizes[addr])
-}
-
 // release returns [ba, ea) to the free list, coalescing neighbours.
 func (a *Allocator) release(ba, ea arch.Addr) {
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].ba >= ba })
@@ -196,6 +190,8 @@ func (a *Allocator) release(ba, ea arch.Addr) {
 
 // CheckInvariants validates the free list and allocation map; used by
 // tests and property checks.
+//
+//edbvet:allow unused -- the allocator's consistency checker, which the heap tests run after each operation
 func (a *Allocator) CheckInvariants() error {
 	for i := 0; i < len(a.free); i++ {
 		s := a.free[i]

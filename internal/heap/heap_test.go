@@ -23,7 +23,7 @@ func TestAllocBasic(t *testing.T) {
 	if p2 != p1+16 {
 		t.Errorf("second alloc at %#x", p2)
 	}
-	if a.SizeOf(p1) != 16 || a.SizeOf(p2) != 16 {
+	if a.sizes[p1] != 16 || a.sizes[p2] != 16 {
 		t.Error("SizeOf wrong")
 	}
 	if a.InUse() != 2 {
@@ -107,8 +107,8 @@ func TestReallocGrowInPlace(t *testing.T) {
 	if np != p {
 		t.Errorf("grow into free tail should stay in place: %#x -> %#x", p, np)
 	}
-	if a.SizeOf(p) != 64 {
-		t.Errorf("size after realloc = %d", a.SizeOf(p))
+	if a.sizes[p] != 64 {
+		t.Errorf("size after realloc = %d", a.sizes[p])
 	}
 }
 
@@ -123,7 +123,7 @@ func TestReallocMove(t *testing.T) {
 	if np == p1 {
 		t.Error("blocked grow must move")
 	}
-	if a.SizeOf(np) != 64 || a.SizeOf(p1) != 0 {
+	if a.sizes[np] != 64 || a.sizes[p1] != 0 {
 		t.Error("sizes after move wrong")
 	}
 	if err := a.CheckInvariants(); err != nil {
@@ -138,8 +138,8 @@ func TestReallocShrink(t *testing.T) {
 	if err != nil || np != p {
 		t.Fatalf("shrink moved or failed: %#x, %v", np, err)
 	}
-	if a.SizeOf(p) != 16 {
-		t.Errorf("size = %d", a.SizeOf(p))
+	if a.sizes[p] != 16 {
+		t.Errorf("size = %d", a.sizes[p])
 	}
 	// The tail must be reusable.
 	q, _ := a.Alloc(48)

@@ -45,9 +45,6 @@ func New(capacity int) *MonitorRegisters {
 	return &MonitorRegisters{capacity: capacity}
 }
 
-// Capacity returns the register budget (-1 when unlimited).
-func (m *MonitorRegisters) Capacity() int { return m.capacity }
-
 // InUse returns the number of occupied registers.
 func (m *MonitorRegisters) InUse() int { return len(m.regs) }
 

@@ -35,8 +35,8 @@ func TestCapacityLimit(t *testing.T) {
 	if err := m.Install(1000, 1008); err != ErrNoFreeRegister {
 		t.Errorf("5th install: %v", err)
 	}
-	if m.InUse() != 4 || m.Peak() != 4 || m.Capacity() != 4 {
-		t.Errorf("occupancy: %d/%d/%d", m.InUse(), m.Peak(), m.Capacity())
+	if m.InUse() != 4 || m.Peak() != 4 || m.capacity != 4 {
+		t.Errorf("occupancy: %d/%d/%d", m.InUse(), m.Peak(), m.capacity)
 	}
 	// Removing frees a register.
 	if err := m.Remove(0, 8); err != nil {

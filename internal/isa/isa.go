@@ -34,7 +34,6 @@ const (
 	R0    Reg = 0  // always zero
 	RV    Reg = 1  // return value
 	PLink Reg = 24 // link register for patch-inserted check calls
-	PTmp  Reg = 25 // scratch for patch-inserted sequences
 	AT    Reg = 26 // assembler temporary (codegen scratch)
 	AT2   Reg = 27 // second assembler/patch temporary
 	GP    Reg = 28 // global pointer (unused by codegen, reserved)
@@ -266,9 +265,6 @@ func (in Inst) String() string {
 		return fmt.Sprintf("%-4s r%d, r%d, %d", in.Op, in.RD, in.RS1, in.Imm)
 	}
 }
-
-// Nop returns the canonical no-op (addi r0, r0, 0).
-func Nop() Inst { return Inst{Op: ADDI} }
 
 // FitsImm16 reports whether v is representable as the signed 16-bit
 // immediate of an I-type instruction.

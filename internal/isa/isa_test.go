@@ -127,16 +127,6 @@ func TestCosts(t *testing.T) {
 	}
 }
 
-func TestNop(t *testing.T) {
-	n := Nop()
-	if n.Op != ADDI || n.RD != R0 || n.RS1 != R0 || n.Imm != 0 {
-		t.Errorf("Nop() = %+v", n)
-	}
-	if Decode(Encode(n)) != n {
-		t.Error("nop roundtrip")
-	}
-}
-
 func TestFitsImm16(t *testing.T) {
 	if !FitsImm16(0) || !FitsImm16(-32768) || !FitsImm16(32767) {
 		t.Error("in-range rejected")

@@ -39,8 +39,6 @@ const (
 	RegRet  = isa.Reg(1)
 	RegArg0 = isa.Reg(2)
 	RegArg1 = isa.Reg(3)
-	RegArg2 = isa.Reg(4)
-	RegArg3 = isa.Reg(5)
 )
 
 // Costs models kernel and library service time in cycles. The defaults

@@ -286,22 +286,3 @@ func (m *Memory) ProtAt(a arch.Addr) Prot {
 	}
 	return m.prots[idx]
 }
-
-// WriteBytesKernel copies raw bytes into memory with kernel privilege.
-// The destination must be word-aligned; the data is padded with zeros to
-// a whole number of words. Used by the loader.
-func (m *Memory) WriteBytesKernel(a arch.Addr, data []byte) error {
-	if !arch.Aligned(a) {
-		return &Fault{Kind: FaultAlignment, Access: AccessWrite, Addr: a}
-	}
-	for i := 0; i < len(data); i += arch.WordBytes {
-		var w arch.Word
-		for j := 0; j < arch.WordBytes && i+j < len(data); j++ {
-			w |= arch.Word(data[i+j]) << (8 * j)
-		}
-		if err := m.KernelWriteWord(a+arch.Addr(i), w); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -159,25 +159,6 @@ func TestFetchRequiresExec(t *testing.T) {
 	}
 }
 
-func TestWriteBytesKernel(t *testing.T) {
-	m := New(arch.PageSize4K)
-	data := []byte{1, 2, 3, 4, 5} // 1.25 words; padded
-	if err := m.WriteBytesKernel(arch.GlobalBase, data); err != nil {
-		t.Fatal(err)
-	}
-	w0, _ := m.ReadWord(arch.GlobalBase)
-	if w0 != 0x04030201 {
-		t.Errorf("word 0 = %#x", w0)
-	}
-	w1, _ := m.ReadWord(arch.GlobalBase + 4)
-	if w1 != 0x00000005 {
-		t.Errorf("word 1 = %#x", w1)
-	}
-	if err := m.WriteBytesKernel(arch.GlobalBase+2, data); err == nil {
-		t.Error("unaligned WriteBytesKernel should fail")
-	}
-}
-
 func TestProtString(t *testing.T) {
 	if ProtRW.String() != "rw-" {
 		t.Errorf("ProtRW = %q", ProtRW.String())

@@ -1,8 +1,8 @@
 // Exporters for the collected span stream: a human-readable text
-// timeline, Chrome trace_event JSON (loadable in chrome://tracing and
-// https://ui.perfetto.dev), and machine-readable JSONL.
+// timeline and Chrome trace_event JSON (loadable in chrome://tracing
+// and https://ui.perfetto.dev).
 //
-// All three exporters are deterministic functions of the collected
+// Both exporters are deterministic functions of the collected
 // records: output order is (Start, Seq), attribute maps are emitted
 // with sorted keys, and timestamps come straight from the records —
 // so a tracer with a fixed test clock yields byte-identical output,
@@ -143,37 +143,4 @@ func attrMap(attrs []KV) map[string]string {
 		m[kv.Key] = kv.Val
 	}
 	return m
-}
-
-// jsonlRecord is the machine-readable JSONL schema: one object per
-// line, nanosecond timestamps, attribute map with sorted keys (JSON
-// maps marshal sorted in Go).
-type jsonlRecord struct {
-	Name    string            `json:"name"`
-	Kind    string            `json:"kind"`
-	StartNS int64             `json:"start_ns"`
-	DurNS   int64             `json:"dur_ns"`
-	Seq     uint64            `json:"seq"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteJSONL renders the records as one JSON object per line, in
-// (Start, Seq) order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	recs := t.sortedRecords()
-	enc := json.NewEncoder(w)
-	for i := range recs {
-		r := &recs[i]
-		if err := enc.Encode(jsonlRecord{
-			Name:    r.Name,
-			Kind:    r.Kind.String(),
-			StartNS: r.Start,
-			DurNS:   r.Dur,
-			Seq:     r.Seq,
-			Attrs:   attrMap(r.Attrs),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"bufio"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -126,41 +125,5 @@ func TestChromeTraceRoundTrips(t *testing.T) {
 	}
 	if args := doc.TraceEvents[byName["benchmark"]].Args; args["program"] != "gcc" {
 		t.Errorf("benchmark args = %v, want program=gcc", args)
-	}
-}
-
-// TestJSONLParses: every line is an independent JSON object with the
-// documented schema, in (start, seq) order.
-func TestJSONLParses(t *testing.T) {
-	var b strings.Builder
-	if err := fixedTracer().WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(b.String()))
-	var lastStart, lastSeq int64 = -1, -1
-	n := 0
-	for sc.Scan() {
-		var rec struct {
-			Name    string            `json:"name"`
-			Kind    string            `json:"kind"`
-			StartNS int64             `json:"start_ns"`
-			DurNS   int64             `json:"dur_ns"`
-			Seq     int64             `json:"seq"`
-			Attrs   map[string]string `json:"attrs"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %d: %v: %s", n, err, sc.Text())
-		}
-		if rec.Kind != "span" && rec.Kind != "event" {
-			t.Fatalf("line %d: bad kind %q", n, rec.Kind)
-		}
-		if rec.StartNS < lastStart || (rec.StartNS == lastStart && rec.Seq <= lastSeq) {
-			t.Fatalf("line %d: out of (start, seq) order", n)
-		}
-		lastStart, lastSeq = rec.StartNS, rec.Seq
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("got %d lines, want 5", n)
 	}
 }

@@ -1,8 +1,8 @@
 // Package obsv is the pipeline observability substrate: a lightweight,
 // allocation-conscious span tracer with a ring-buffered collector
-// (this file), exporters for a human text timeline, Chrome trace_event
-// JSON loadable in Perfetto, and a machine-readable JSONL stream
-// (export.go), and a counter/gauge/histogram metrics registry with a
+// (this file), exporters for a human text timeline and Chrome
+// trace_event JSON loadable in Perfetto (export.go), and a
+// counter/gauge/histogram metrics registry with a
 // Prometheus text dump and a snapshot API (metrics.go).
 //
 // Design contract — the disabled path is (almost) free. Every hook is
@@ -121,6 +121,8 @@ func NewTracer(capacity int) *Tracer {
 // nanoseconds-since-epoch. It exists for deterministic exporter tests
 // (golden timelines need fixed timestamps); production callers use
 // NewTracer's monotonic clock.
+//
+//edbvet:allow unused -- test seam: the exporter goldens need a fixed clock
 func NewTracerWithClock(capacity int, now func() int64) *Tracer {
 	t := NewTracer(capacity)
 	t.now = now

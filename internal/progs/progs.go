@@ -37,10 +37,6 @@ type Program struct {
 	Description string
 }
 
-// DefaultScale reproduces the experiment at roughly 1/8 of the paper's
-// event counts (relative overheads are scale-invariant; see DESIGN.md).
-const DefaultScale = 1
-
 // All returns the five benchmarks at the given scale (≥1).
 func All(scale int) []Program {
 	if scale < 1 {

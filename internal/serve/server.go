@@ -214,6 +214,8 @@ func (s *Server) Close() error {
 }
 
 // Draining reports whether drain has begun.
+//
+//edbvet:allow unused -- test seam: the drain tests wait on it before probing a draining server
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // errBody is the JSON error payload for non-streamed failures. Kind

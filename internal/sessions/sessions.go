@@ -143,15 +143,6 @@ func (s *Set) MembershipRange(id objects.ID, lo, hi int32) []int32 {
 	return m[i:j]
 }
 
-// CountByType tallies sessions per type.
-func (s *Set) CountByType() [NumTypes]int {
-	var out [NumTypes]int
-	for i := range s.Sessions {
-		out[s.Sessions[i].Type]++
-	}
-	return out
-}
-
 // NewSet builds a Set from an explicit session list, renumbering
 // Session.Index to the slice position and constructing the CSR
 // membership index over object IDs [1, numObjects]. Discover uses it;

@@ -23,7 +23,10 @@ func buildTrace() *trace.Trace {
 
 func TestDiscoverCounts(t *testing.T) {
 	set := Discover(buildTrace())
-	counts := set.CountByType()
+	var counts [NumTypes]int
+	for _, s := range set.Sessions {
+		counts[s.Type]++
+	}
 	if counts[OneLocalAuto] != 3 {
 		t.Errorf("OneLocalAuto = %d, want 3", counts[OneLocalAuto])
 	}

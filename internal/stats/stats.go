@@ -39,14 +39,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Mean returns the arithmetic mean (0 for an empty sample).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return meanOf(xs)
-}
-
 func meanOf(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
@@ -55,17 +47,8 @@ func meanOf(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using the
-// nearest-rank method. It copies and sorts the input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
+// percentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of a
+// sorted, non-empty sample by the nearest-rank method.
 func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
@@ -80,18 +63,9 @@ func percentileSorted(s []float64, p float64) float64 {
 	return s[rank-1]
 }
 
-// TrimmedMean returns the mean of values between the lo and hi quantiles
-// (fractions in [0,1]); the paper's T-Mean is TrimmedMean(xs, 0.1, 0.9).
-// It copies and sorts the input.
-func TrimmedMean(xs []float64, lo, hi float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return trimmedMean(s, lo, hi)
-}
-
+// trimmedMean returns the mean of the sorted sample's values between
+// the lo and hi quantiles (fractions in [0,1]); the paper's T-Mean is
+// trimmedMean(s, 0.1, 0.9).
 func trimmedMean(s []float64, lo, hi float64) float64 {
 	n := len(s)
 	loIdx := int(math.Floor(lo * float64(n)))
@@ -105,23 +79,6 @@ func trimmedMean(s []float64, lo, hi float64) float64 {
 	}
 	return meanOf(s[loIdx:hiIdx])
 }
-
-// Variance returns the population variance.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := meanOf(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Format renders a float the way the paper's tables do: two decimals,
 // with a leading dot for values below one (".07") and plain integers

@@ -18,11 +18,8 @@ func TestSummarizeBasics(t *testing.T) {
 
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
-	if s.N != 0 || s.Min != 0 || s.Max != 0 {
+	if s != (Summary{}) {
 		t.Errorf("empty summary = %+v", s)
-	}
-	if Mean(nil) != 0 || Percentile(nil, 50) != 0 || TrimmedMean(nil, .1, .9) != 0 {
-		t.Error("empty-sample helpers should return 0")
 	}
 }
 
@@ -43,7 +40,7 @@ func TestPercentileNearestRank(t *testing.T) {
 		{0, 1}, {10, 1}, {50, 5}, {90, 9}, {98, 10}, {100, 10},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
+		if got := percentileSorted(xs, c.p); got != c.want {
 			t.Errorf("P%.0f = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -53,10 +50,10 @@ func TestTrimmedMean(t *testing.T) {
 	// 10 values; trimming 10-90% drops the lowest and keeps 1..8 of the
 	// sorted middle section [1]..[8].
 	xs := []float64{100, 1, 2, 3, 4, 5, 6, 7, 8, 0}
-	got := TrimmedMean(xs, 0.1, 0.9)
+	got := Summarize(xs).TMean
 	// sorted: 0 1 2 3 4 5 6 7 8 100; indices 1..8 → mean(1..8) = 4.5
 	if got != 4.5 {
-		t.Errorf("TrimmedMean = %v, want 4.5", got)
+		t.Errorf("TMean = %v, want 4.5", got)
 	}
 }
 
@@ -66,31 +63,19 @@ func TestTrimmedMeanRobustToOutliers(t *testing.T) {
 		xs[i] = 1
 	}
 	xs[99] = 1e9
-	if tm := TrimmedMean(xs, 0.1, 0.9); tm != 1 {
-		t.Errorf("TrimmedMean with outlier = %v, want 1", tm)
+	s := Summarize(xs)
+	if s.TMean != 1 {
+		t.Errorf("TMean with outlier = %v, want 1", s.TMean)
 	}
-	if m := Mean(xs); m < 1e6 {
+	if m := s.Mean; m < 1e6 {
 		t.Errorf("Mean should be dragged by the outlier, got %v", m)
 	}
 }
 
 func TestTrimmedMeanTinySample(t *testing.T) {
 	// Degenerate samples fall back to the mean rather than panicking.
-	if tm := TrimmedMean([]float64{7}, 0.1, 0.9); tm != 7 {
-		t.Errorf("TrimmedMean tiny = %v", tm)
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if v := Variance(xs); v != 4 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	if sd := StdDev(xs); sd != 2 {
-		t.Errorf("StdDev = %v, want 2", sd)
-	}
-	if Variance(nil) != 0 {
-		t.Error("empty variance")
+	if tm := Summarize([]float64{7}).TMean; tm != 7 {
+		t.Errorf("TMean tiny = %v", tm)
 	}
 }
 
@@ -124,7 +109,7 @@ func TestPercentileMonotone(t *testing.T) {
 	sort.Float64s(xs)
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 100; p += 5 {
-		v := Percentile(xs, p)
+		v := percentileSorted(xs, p)
 		if v < prev {
 			t.Fatalf("percentile not monotone at %v: %v < %v", p, v, prev)
 		}

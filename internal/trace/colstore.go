@@ -209,10 +209,6 @@ func BytesSource(data []byte) StreamSource { return bytesSource(data) }
 
 func (b bytesSource) Open() (*Stream, error) { return OpenStream(bytes.NewReader(b)) }
 
-func (b bytesSource) openRaw() (io.ReadCloser, error) {
-	return io.NopCloser(bytes.NewReader(b)), nil
-}
-
 func (b bytesSource) openRawAt(off int64) (io.ReadCloser, error) {
 	if off < 0 || off > int64(len(b)) {
 		return nil, fmt.Errorf("trace: byte offset %d outside %d-byte source", off, len(b))

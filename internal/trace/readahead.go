@@ -20,7 +20,7 @@ const DefaultReadaheadBytes = 512 << 10
 type fileSource string
 
 func (p fileSource) Open() (*Stream, error) {
-	rc, err := p.openRaw()
+	rc, err := p.openRawAt(0)
 	if err != nil {
 		return nil, err
 	}
@@ -33,13 +33,8 @@ func (p fileSource) Open() (*Stream, error) {
 	return s, nil
 }
 
-// openRaw opens the file's byte stream, so Materialize and
-// SharedSource share one open path with Open.
-func (p fileSource) openRaw() (io.ReadCloser, error) {
-	return p.openRawAt(0)
-}
-
-// openRawAt opens the byte stream positioned at off.
+// openRawAt opens the byte stream positioned at off: Open reads from
+// the start, SharedSource from past the header.
 func (p fileSource) openRawAt(off int64) (io.ReadCloser, error) {
 	f, err := os.Open(string(p))
 	if err != nil {

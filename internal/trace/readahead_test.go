@@ -26,25 +26,25 @@ func v3TempFile(t *testing.T, blockEvents int) (string, *Trace) {
 }
 
 // TestFileSourceModes: FileSource — the one file path, double-buffered
-// readahead — decodes the same trace through Materialize and Open, and
-// fails cleanly on a missing file. Window-boundary handling is covered
-// directly by TestPrefetchReader.
+// readahead — decodes the same trace as was written, and fails cleanly
+// on a missing file. Window-boundary handling is covered directly by
+// TestPrefetchReader.
 func TestFileSourceModes(t *testing.T) {
 	path, tr := v3TempFile(t, 2)
 	src := FileSource(path)
-	got, err := Materialize(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatal("events mismatch")
-	}
 	s, err := src.Open()
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	if s.Program != tr.Program {
 		t.Fatalf("program %q", s.Program)
+	}
+	got, err := materializeStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Events, tr.Events) {
+		t.Fatal("events mismatch")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -192,19 +192,6 @@ func (w *Writer) Append(e Event) error {
 	return nil
 }
 
-// Flush seals the current partial block and pushes it to the spool.
-// Blocking is a pure layout parameter — any blocking decodes to the
-// same trace — so flushing early only costs framing overhead.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return w.fail(fmt.Errorf("trace: writing %s: flush after Close", w.program))
-	}
-	return w.sealPending()
-}
-
 // sealPending encodes the pending events as one block and clears them.
 func (w *Writer) sealPending() error {
 	if len(w.pending) == 0 {
@@ -464,36 +451,7 @@ func writeV3(w io.Writer, t *Trace, blockEvents int) error {
 	return wr.Close()
 }
 
-// Materialize reads a full Trace out of a StreamSource — the
-// source-first counterpart of Read for callers holding a StreamSource
-// rather than an io.Reader. v1/v2 sources are materialised through
-// Read when the source can reopen its raw bytes; v3 sources stream
-// block-at-a-time.
-func Materialize(src StreamSource) (*Trace, error) {
-	if rs, ok := src.(rawSource); ok {
-		rc, err := rs.openRaw()
-		if err != nil {
-			return nil, err
-		}
-		defer rc.Close()
-		return Read(rc)
-	}
-	s, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return materializeStream(s)
-}
-
-// rawSource is implemented by sources that can hand out their
-// underlying byte stream, letting Materialize accept v1/v2 files too.
-type rawSource interface {
-	openRaw() (io.ReadCloser, error)
-}
-
-// materializeStream drains a Stream into a Trace — shared by Read's v3
-// path and Materialize.
+// materializeStream drains a Stream into a Trace: Read's v3 path.
 func materializeStream(s *Stream) (*Trace, error) {
 	t := &Trace{
 		Program:    s.Program,

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -81,45 +80,6 @@ func TestV3WriterSpoolRemoved(t *testing.T) {
 	}
 }
 
-// TestV3WriterFlush: an explicit Flush seals a partial block — the
-// blocking changes but the decoded trace does not.
-func TestV3WriterFlush(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{Program: tr.Program, Objects: tr.Objects, SpoolDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range tr.Events {
-		if err := w.Append(e); err != nil {
-			t.Fatal(err)
-		}
-		if i == 2 {
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	w.SetCounters(tr.BaseCycles, tr.Instret)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatalf("flushed blocking decoded differently")
-	}
-	s, err := OpenStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumBlocks != 2 {
-		t.Fatalf("expected 2 blocks after mid-stream flush, got %d", s.NumBlocks)
-	}
-}
-
 // TestV3WriterCounts: the writer's running tallies match the trace.
 func TestV3WriterCounts(t *testing.T) {
 	tr := sampleTrace()
@@ -161,17 +121,6 @@ func TestV3WriterMisuse(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("second Close after misuse did not return the sticky error")
-	}
-
-	w2, err := NewWriter(io.Discard, WriterOptions{Program: "demo", Objects: tr.Objects, SpoolDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err == nil || !strings.Contains(err.Error(), "flush after Close") {
-		t.Fatalf("flush after close: %v", err)
 	}
 
 	if _, err := NewWriter(io.Discard, WriterOptions{Program: "demo"}); err == nil ||
@@ -316,45 +265,5 @@ func TestWriteToV2Shims(t *testing.T) {
 	}
 	if !bytes.Equal(v0.Bytes(), v2.Bytes()) {
 		t.Fatal("WriteTo v0/v2 outputs differ")
-	}
-}
-
-// TestMaterialize: the source-first read path materialises v3 sources
-// via the stream and v2 files via their raw bytes.
-func TestMaterialize(t *testing.T) {
-	tr := sampleTrace()
-	var v3buf, v2buf bytes.Buffer
-	if err := WriteTo(&v3buf, tr, WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTo(&v2buf, tr, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v3path := filepath.Join(dir, "t.v3")
-	v2path := filepath.Join(dir, "t.v2")
-	if err := os.WriteFile(v3path, v3buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v2path, v2buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range map[string]StreamSource{
-		"v3 file":   FileSource(v3path),
-		"v2 file":   FileSource(v2path),
-		"v3 bytes":  BytesSource(v3buf.Bytes()),
-		"v2 bytes":  BytesSource(v2buf.Bytes()),
-		"v3 shared": NewSharedSource(BytesSource(v3buf.Bytes())),
-	} {
-		got, err := Materialize(src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Events, tr.Events) {
-			t.Fatalf("%s: events mismatch", name)
-		}
-	}
-	if _, err := Materialize(FileSource(filepath.Join(dir, "missing"))); err == nil {
-		t.Fatal("materializing a missing file succeeded")
 	}
 }

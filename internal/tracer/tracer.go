@@ -446,9 +446,3 @@ func (t *Tracer) run(fuel uint64) error {
 	}
 	return nil
 }
-
-// TraceProgram compiles nothing — it runs an already-loaded machine
-// under a fresh tracer. Convenience for the pipeline.
-func TraceProgram(m *kernel.Machine, program string, fuel uint64) (*trace.Trace, error) {
-	return New(m, program).Run(fuel)
-}
