@@ -143,10 +143,12 @@ bench-pipeline:
 # Regenerate the flat replay-core baseline recorded in
 # BENCH_replay_core.json: the end-to-end engine matrix (with and
 # without a shared prepass) plus the white-box prepass/replay-core
-# split.
+# split; then the prepassed-vs-streamed front-end comparison DESIGN §11
+# quotes, on one core.
 bench-replay:
 	$(GO) test -bench 'BenchmarkSimReplay' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkPrepass$$|BenchmarkReplayCore' -benchmem -run '^$$' ./internal/sim/
+	$(GO) test -bench 'BenchmarkFrontEnd' -cpu 1 -benchmem -run '^$$' ./internal/sim/
 
 # Regenerate the trace-store comparison recorded in
 # BENCH_trace_store.json / EXPERIMENTS.md (the committed baseline file

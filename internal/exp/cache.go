@@ -196,10 +196,12 @@ func buildArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 		plan.EliminatedChecks, plan.EliminatedIntra, plan.FastChecks, plan.HoistedChecks
 	classOf := make([]analysis.CheckClass, len(img.Text))
 	layout := asm.LayoutAddrs(prog)
+	realStores := 0
 	for fi, f := range prog.Funcs {
 		fp := plan.Funcs[f.Name]
 		for i, in := range f.Body {
 			if in.Pseudo == asm.PNone && in.Op == isa.SW {
+				realStores++
 				if w, ok := arch.TextWord(layout[fi][i]); ok && w < len(classOf) {
 					classOf[w] = fp.ClassOf(i)
 				}
@@ -228,15 +230,13 @@ func buildArtifacts(p progs.Program, o *obs) (*artifacts, error) {
 		a.fastFrac = float64(nFast) / float64(nWrites)
 	}
 	// Code expansion under the optimised patcher: the traced program
-	// itself, patched with the plan above.
+	// itself, patched with the plan above. Plain CodePatch gives every
+	// real store the two-word check pair and adds a one-word stub, which
+	// OriginalWords already counts, so its expansion follows from the
+	// same program's store count.
 	if pr, err := codepatch.Patch(prog, plan); err == nil {
 		a.expansionOpt = pr.Expansion()
-	}
-	// Code expansion under plain CodePatch, on a fresh compile.
-	if prog2, err := minic.Compile(p.Source); err == nil {
-		if pr, err := codepatch.Patch(prog2, nil); err == nil {
-			a.expansion = pr.Expansion()
-		}
+		a.expansion = float64(2*realStores) / float64(pr.OriginalWords)
 	}
 	return a, nil
 }

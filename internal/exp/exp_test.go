@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"edb/internal/core/codepatch"
+	"edb/internal/minic"
 	"edb/internal/model"
 	"edb/internal/progs"
 	"edb/internal/sessions"
@@ -141,11 +143,28 @@ func TestBreakdowns(t *testing.T) {
 }
 
 // TestExpansion asserts §8's space estimate: a modest expansion from two
-// extra instructions per write (the paper: 12-15%).
+// extra instructions per write (the paper: 12-15%). The expansion the
+// pipeline derives from the store count must equal what plain CodePatch
+// gives a fresh compile.
 func TestExpansion(t *testing.T) {
 	for name, r := range allResults(t) {
 		if r.Expansion < 0.08 || r.Expansion > 0.20 {
 			t.Errorf("%s: expansion = %.1f%%, want ≈12-15%%", name, 100*r.Expansion)
+		}
+		p, err := progs.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := minic.Compile(p.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := codepatch.Patch(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Expansion() != r.Expansion {
+			t.Errorf("%s: derived expansion %v, plain CodePatch gives %v", name, r.Expansion, pr.Expansion())
 		}
 		if r.StoreFraction <= 0 || r.StoreFraction > 0.15 {
 			t.Errorf("%s: store fraction = %.3f", name, r.StoreFraction)

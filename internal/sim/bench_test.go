@@ -42,7 +42,7 @@ func BenchmarkReplayCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		per := make([]Counting, len(set.Sessions))
 		var pages [2]pageTab
-		replayRange(tr, set, pp, 0, int32(len(set.Sessions)), per, &pages)
+		replayRange(set, pp, 0, int32(len(set.Sessions)), per, &pages)
 		finishCounters(per, pp.TotalWrites)
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events")
@@ -67,7 +67,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 		b.Run(name+"/prepass", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var pages [2]pageTab
-				replayRange(tr, set, pp, 0, n, make([]Counting, n), &pages)
+				replayRange(set, pp, 0, n, make([]Counting, n), &pages)
 			}
 		})
 		s, err := v3Source(b, tr, 0).Open()

@@ -72,6 +72,19 @@ func TestObservedReplayIsBitIdentical(t *testing.T) {
 	if names["replay-shard"] != k {
 		t.Errorf("got %d replay-shard worker spans, want %d", names["replay-shard"], k)
 	}
+	// Every shard replays every event, so it builds a slot list for
+	// every placement of the prepass, in both page tables.
+	for _, key := range []string{"placements_4k", "placements_8k"} {
+		got := spanInts(t, obs, "replay-shard", key)
+		if len(got) != k {
+			t.Fatalf("replay-shard %s: %v, want one per shard", key, got)
+		}
+		for _, n := range got {
+			if n != int64(len(pp.placements)) {
+				t.Errorf("replay-shard %s = %d, want the prepass's %d placements", key, n, len(pp.placements))
+			}
+		}
+	}
 }
 
 // TestNilObsIsSupported re-pins, at the sim call sites, the obsv

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -276,11 +277,86 @@ func TestOnePassMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
+// reinstallTrace builds a trace whose local v is re-installed, frame
+// after frame, at three alternating spans: inside one 4 KiB page,
+// across a 4 KiB boundary inside one 8 KiB page, and across an 8 KiB
+// boundary. Its placement chain so holds three entries, and every
+// lookup after the first three walks it. A second local of the same
+// function (so AllLocalInFunc shares pages with v's own session), a
+// global on the boundary page, and writes on, beside and away from v
+// keep the page counters moving while v is live and while it is not.
+func reinstallTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	tab := objects.NewTable()
+	v := tab.Add(objects.Object{Kind: objects.KindLocalAuto, Func: "f", Name: "v", SizeBytes: 16})
+	w := tab.Add(objects.Object{Kind: objects.KindLocalAuto, Func: "f", Name: "w", SizeBytes: 4})
+	g := tab.Add(objects.Object{Kind: objects.KindGlobal, Name: "g", SizeBytes: 4})
+	tr := &trace.Trace{Program: "reinstall", Objects: tab, BaseCycles: 40_000_000}
+	ev := func(k trace.EventKind, obj objects.ID, ba, ea arch.Addr) {
+		tr.Events = append(tr.Events, trace.Event{Kind: k, Obj: obj, BA: ba, EA: ea})
+	}
+	write := func(ba arch.Addr) {
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.EvWrite, BA: ba, EA: ba + 4, PC: arch.TextBase})
+	}
+	s0 := (arch.StackBase - 64*1024) &^ 8191 // an 8 KiB-aligned stack page
+	spans := []arch.Addr{
+		s0 + 0x200,      // one 4 KiB page
+		s0 + 4096 - 8,   // 4 KiB boundary inside one 8 KiB page
+		s0 + 2*8192 - 8, // 8 KiB (and 4 KiB) boundary
+	}
+	gba := s0 + 4096 + 0x100 // on the upper half of span 1's 8 KiB page
+	ev(trace.EvInstall, g, gba, gba+4)
+	for round := 0; round < 24; round++ {
+		ba := spans[round%len(spans)]
+		write(ba) // before v is live on the page
+		ev(trace.EvInstall, v, ba, ba+16)
+		withW := round%2 == 0
+		if withW {
+			ev(trace.EvInstall, w, s0+0x400, s0+0x404)
+		}
+		for k := arch.Addr(0); k < 16; k += 4 {
+			write(ba + k) // hits, on both sides of a boundary
+		}
+		write(ba - 4)      // beside v: an active-page miss
+		write(gba)         // the global's hit, on v's 8 KiB page
+		write(s0 + 0x404)  // beside w
+		write(s0 + 7*4096) // far away
+		if withW {
+			ev(trace.EvRemove, w, s0+0x400, s0+0x404)
+		}
+		ev(trace.EvRemove, v, ba, ba+16)
+		write(ba + 8) // after v is gone
+	}
+	ev(trace.EvRemove, g, gba, gba+4)
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("reinstall trace: %v", err)
+	}
+	if err := tr.ValidateExclusive(); err != nil {
+		t.Fatalf("reinstall trace: %v", err)
+	}
+	pp, err := Prepare(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, pl := range pp.placements {
+		if pl.obj == v {
+			n++
+		}
+	}
+	if n != len(spans) {
+		t.Fatalf("reinstall trace: v has %d placements, want %d", n, len(spans))
+	}
+	return tr
+}
+
 // TestDifferentialSerialShardedNaive is the differential harness for
-// the sharded engine: on randomized traces of varying sizes, the
-// Sequential replay, the Sharded replay at every tested shard count,
-// and the naive per-session oracle must agree exactly — counting
-// variables, total writes, and header metadata.
+// the sharded engine and both front-ends: on randomized traces of
+// varying sizes and on reinstallTrace, the Sequential replay, the
+// Sharded replay at every tested shard count, the streamed replay of
+// the trace's v3 bytes at every tested shard count, and the naive
+// per-session oracle must agree exactly — counting variables, total
+// writes, and header metadata.
 func TestDifferentialSerialShardedNaive(t *testing.T) {
 	cases := []struct {
 		seed   int64
@@ -290,8 +366,17 @@ func TestDifferentialSerialShardedNaive(t *testing.T) {
 		{5, 2500}, {6, 1500}, {7, 900}, {8, 4000},
 		{9, 3000}, {10, 1200},
 	}
+	type input struct {
+		label string
+		tr    *trace.Trace
+	}
+	var inputs []input
 	for _, tc := range cases {
-		tr := checkedTrace(t, tc.seed, tc.events)
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", tc.seed), checkedTrace(t, tc.seed, tc.events)})
+	}
+	inputs = append(inputs, input{"reinstall", reinstallTrace(t)})
+	for _, in := range inputs {
+		tr := in.tr
 		set := sessions.Discover(tr)
 		seq, err := sequential(tr, set)
 		if err != nil {
@@ -300,28 +385,39 @@ func TestDifferentialSerialShardedNaive(t *testing.T) {
 		// Sequential ≡ naive oracle, per session.
 		for i := range set.Sessions {
 			if want := naiveReplay(tr, &set.Sessions[i]); seq.PerSession[i] != want {
-				t.Errorf("seed %d session %s: sequential %+v != oracle %+v",
-					tc.seed, set.Sessions[i].Label(), seq.PerSession[i], want)
+				t.Errorf("%s session %s: sequential %+v != oracle %+v",
+					in.label, set.Sessions[i].Label(), seq.PerSession[i], want)
 			}
 		}
-		// Sequential ≡ Sharded, for every shard count.
+		// Sequential ≡ Sharded ≡ Streamed, for every shard count.
+		src := v3Source(t, tr, 64)
 		for _, k := range shardCounts() {
 			sh, err := sharded(tr, set, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh.Program != seq.Program || sh.BaseCycles != seq.BaseCycles ||
-				sh.TotalWrites != seq.TotalWrites || sh.Set != seq.Set {
-				t.Errorf("seed %d K=%d: header mismatch: %+v vs %+v", tc.seed, k, sh, seq)
+			st, err := streamed(src, set, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(sh.PerSession) != len(seq.PerSession) {
-				t.Fatalf("seed %d K=%d: %d sessions, want %d",
-					tc.seed, k, len(sh.PerSession), len(seq.PerSession))
-			}
-			for i := range seq.PerSession {
-				if sh.PerSession[i] != seq.PerSession[i] {
-					t.Errorf("seed %d K=%d session %s:\n  sharded    %+v\n  sequential %+v",
-						tc.seed, k, set.Sessions[i].Label(), sh.PerSession[i], seq.PerSession[i])
+			for _, got := range []struct {
+				engine string
+				out    *Output
+			}{{"sharded", sh}, {"streamed", st}} {
+				out := got.out
+				if out.Program != seq.Program || out.BaseCycles != seq.BaseCycles ||
+					out.TotalWrites != seq.TotalWrites || out.Set != seq.Set {
+					t.Errorf("%s K=%d %s: header mismatch: %+v vs %+v", in.label, k, got.engine, out, seq)
+				}
+				if len(out.PerSession) != len(seq.PerSession) {
+					t.Fatalf("%s K=%d %s: %d sessions, want %d",
+						in.label, k, got.engine, len(out.PerSession), len(seq.PerSession))
+				}
+				for i := range seq.PerSession {
+					if out.PerSession[i] != seq.PerSession[i] {
+						t.Errorf("%s K=%d session %s:\n  %-10s %+v\n  sequential %+v",
+							in.label, k, set.Sessions[i].Label(), got.engine, out.PerSession[i], seq.PerSession[i])
+					}
 				}
 			}
 		}

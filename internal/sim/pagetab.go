@@ -1,152 +1,182 @@
 package sim
 
-// pageTab is the dense, arena-backed replacement for the old
-// map[pageNumber]*pageSet: one per-page session multiset per touched
-// page of one page size, addressed by the prepass's dense page index.
+// pageTab is one shard's page accounting for one page size: for every
+// (dense page, session) pair a placement the shard replayed covers, the
+// session's live monitor count on the page. Both front-ends drive it
+// the same way; they differ only in how they number pages and
+// placements.
 //
-// Layout: refs is indexed by dense page index and points each page at
-// a block inside one shared arena of sessCount entries. Blocks are
-// power-of-two sized; a page that outgrows its block moves to a block
-// of a larger class and the old block goes on a per-class free list
-// for reuse by other pages. The arena only ever grows (amortised
-// doubling), so a full replay performs a handful of allocations total
-// where the map layout performed one per live page.
+// A placement is one (object, 4 KiB page span) pair: every install or
+// remove event has one, and an object's events almost always reuse it
+// (a local's frame slot, a heap block's address). The table keeps one
+// slot list per placement — the entry index of every (page, member
+// session) pair the placement covers, built the first time the shard
+// replays it — so install and remove walk the list with no search.
+// Within one list pages and members are distinct, so each entry
+// appears at most once.
 //
-// Two ideas make the hot operations cheap:
+// A chain per session keeps the build free of maps and of searches over
+// large blocks: every session's entries are linked newest first (next),
+// and a build walks a member's chain for the page, appending an entry
+// the first time the session touches it. A session touches a handful
+// of pages, so the chains are short even where hundreds of sessions
+// share one stack page. (The front-ends find a placement the same way,
+// through a chain per object.)
 //
-//   - Interval-credit active-page accounting. Each page carries a
-//     cumulative write counter (pageRef.wtotal, never reset) and each
-//     entry records the counter's value when its session's count last
-//     rose from zero (sessCount.base). A write is then a single
-//     unconditional increment; the session's ActivePageMiss share for
-//     the whole active interval, wtotal − base, is credited once when
-//     the count returns to zero (and once at end of replay for entries
-//     still active — settle). This replaces the old per-write
-//     O(population) scan with O(1), the dominant algorithmic win of
-//     the flat rewrite. Hit writes over-credit their sessions by
-//     exactly one each; finishCounters cancels that in closed form.
+// Interval-credit active-page accounting. Each page carries a
+// cumulative write counter (wtotal, never reset) and each entry records
+// the counter's value when its session's count last rose from zero
+// (base). A write is then a single unconditional increment; the
+// session's ActivePageMiss share for the whole active interval,
+// wtotal − base, is credited once when the count returns to zero (and
+// once at end of replay for entries still active — settle). Hit writes
+// over-credit their sessions by exactly one each; finishCounters
+// cancels that in closed form.
 //
-//   - Tombstones. When a session's count returns to zero the entry is
-//     kept in place (count == 0) instead of being compacted away.
-//     Stack and hot heap pages cycle the same sessions between active
-//     and inactive constantly; with tombstones a re-install is a
-//     binary search plus an in-place 0→1 bump, and a remove is a
-//     binary search plus a decrement — O(|members| · log population)
-//     with no entry shifting. Entries are only ever inserted (sorted,
-//     by backward merge) the first time a session touches the page, so
-//     a block holds at most one entry per session ever active on the
-//     page and blocks strictly grow.
-//
-// Entries within a block are kept sorted by session index; member
-// lists (one object's sessions) are tiny, so install/remove binary-
-// search per member rather than merging against the full population.
+// Slot 0 and entry 0 are reserved, so a zero slotList offset means "not
+// built yet" and a zero chain link ends a chain; none of the slices
+// needs an initialisation pass.
 type pageTab struct {
-	refs  []pageRef
-	arena []sessCount
-	// free[class] holds arena offsets of recycled blocks of size
-	// 1<<class, populated when pages outgrow their block.
-	free [31][]int32
+	wtotal []uint64    // by dense page: cumulative write counter
+	ents   []pageEntry // from 1: one per (dense page, session) ever listed
+	chain  []int32     // by session − lo: the session's newest entry, 0 none
+	lists  []slotList  // by placement id
+	slots  []int32     // from 1: entry indexes, one list after another
+	built  int32       // slot lists built
 }
 
-// sessCount is one entry of a per-page session multiset: the session's
-// live monitor count on the page and, while the count is non-zero, the
-// page's cumulative write counter at the instant the count left zero
-// (the interval-credit baseline). count == 0 entries are tombstones.
-type sessCount struct {
-	sess  int32
+// pageEntry is one session's standing on one dense page: its live
+// monitor count and, while the count is non-zero, the page's wtotal at
+// the instant the count left zero (the interval-credit baseline).
+type pageEntry struct {
+	sess  int32 // session index − lo: the session's slot in per
+	page  int32
 	count int32
+	next  int32 // the session's next older entry, 0 ends the chain
 	base  uint64
 }
 
-// pageRef locates one page's block: entries live at
-// arena[off : off+n], block capacity is 1<<class. off == 0 means the
-// page never had a block (arena slot 0 is a reserved dummy so the
-// zero pageRef is "empty"). wtotal is the page's cumulative write
-// counter (see pageTab).
-type pageRef struct {
-	off    int32
-	n      int32
-	class  int32
-	wtotal uint64
+// slotList locates one placement's slots: slots[off : off+n]. off 0
+// means the shard has not replayed the placement yet.
+type slotList struct{ off, n int32 }
+
+// init sizes the table for nPages dense pages, nPlacements placements
+// and the sessions [lo, hi), with room for the slots the shard expects
+// its lists to hold. An entry is created through a slot, and a session
+// touches few pages, so the entries get the smaller of the slot count
+// and one and a half per session. Streamed replay starts with no pages
+// and the placements it expects, and grows both as they arrive
+// (addPage, addPlacement); capacity only decides how often a slice
+// grows.
+func (t *pageTab) init(nPages, nPlacements, lo, hi int32, slots int) {
+	t.wtotal = make([]uint64, nPages)
+	t.ents = make([]pageEntry, 1, 1+min(slots, int(hi-lo)*3/2))
+	t.chain = make([]int32, hi-lo)
+	t.lists = make([]slotList, nPlacements)
+	t.slots = make([]int32, 1, 1+slots)
 }
 
-// init sizes the table for nPages dense pages and seeds the arena with
-// the reserved dummy slot. The arena capacity hint assumes most
-// touched pages hold at least one entry at some point.
-func (t *pageTab) init(nPages int32) {
-	t.refs = make([]pageRef, nPages)
-	t.arena = make([]sessCount, 1, 1+2*int(nPages))
+// addPage appends one dense page and returns its index.
+func (t *pageTab) addPage() int32 {
+	t.wtotal = append(t.wtotal, 0)
+	return int32(len(t.wtotal) - 1)
 }
 
-// alloc returns the offset of a block of size 1<<class, reusing a
-// free-listed block when one exists and growing the arena otherwise.
-func (t *pageTab) alloc(class int32) int32 {
-	if fl := t.free[class]; len(fl) > 0 {
-		off := fl[len(fl)-1]
-		t.free[class] = fl[:len(fl)-1]
-		return off
+// addPlacement makes room for placement p, numbered in arrival order.
+func (t *pageTab) addPlacement(p int32) {
+	if int(p) == len(t.lists) {
+		t.lists = append(t.lists, slotList{})
 	}
-	off := len(t.arena)
-	need := off + (1 << class)
-	if need > cap(t.arena) {
-		newCap := 2 * cap(t.arena)
-		if newCap < need {
-			newCap = need
+}
+
+// isBuilt reports whether placement p's slot list exists.
+func (t *pageTab) isBuilt(p int32) bool { return t.lists[p].off != 0 }
+
+// build makes placement p's slot list over the member sessions
+// (ascending, within [lo, hi)) and the dense pages it spans, creating
+// the entries of pairs the shard has not seen before. Call once per
+// placement; an empty member list builds an empty list.
+func (t *pageTab) build(p int32, members, pages []int32, lo int32) {
+	off := int32(len(t.slots))
+	for _, pg := range pages {
+		for _, s := range members {
+			t.slots = append(t.slots, t.entry(pg, s-lo))
 		}
-		na := make([]sessCount, len(t.arena), newCap)
-		copy(na, t.arena)
-		t.arena = na
 	}
-	t.arena = t.arena[:need]
-	return int32(off)
+	t.lists[p] = slotList{off: off, n: int32(len(t.slots)) - off}
+	t.built++
 }
 
-// ensure grows r's block (moving its entries) until it can hold need
-// entries, recycling the outgrown block on the free list.
-func (t *pageTab) ensure(r *pageRef, need int32) {
-	if r.off != 0 && need <= 1<<r.class {
-		return
+// entry returns the index of the entry for (page pg, session lo+si),
+// walking the session's chain and appending a zero-count entry when the
+// session has never been listed on the page.
+func (t *pageTab) entry(pg, si int32) int32 {
+	for k := t.chain[si]; k != 0; k = t.ents[k].next {
+		if t.ents[k].page == pg {
+			return k
+		}
 	}
-	class := int32(0)
-	if r.off != 0 {
-		class = r.class
-	}
-	for (1 << class) < need {
-		class++
-	}
-	noff := t.alloc(class)
-	if r.off != 0 {
-		copy(t.arena[noff:noff+r.n], t.arena[r.off:r.off+r.n])
-		t.free[r.class] = append(t.free[r.class], r.off)
-	}
-	r.off = noff
-	r.class = class
+	k := int32(len(t.ents))
+	t.ents = append(t.ents, pageEntry{sess: si, page: pg, next: t.chain[si]})
+	t.chain[si] = k
+	return k
 }
 
-// entries returns the entry block of dense page pi — including
-// count == 0 tombstones — sorted by session index, or nil when the
-// page never held an entry. The slice aliases the arena and is
-// invalidated by the next install.
-func (t *pageTab) entries(pi int32) []sessCount {
-	r := &t.refs[pi]
-	if r.n == 0 {
-		return nil
+// install raises the count of every entry on placement p's slot list.
+// A 0→1 transition charges a VMProtect and (re)bases the entry's
+// interval credit at the page's current wtotal.
+func (t *pageTab) install(p int32, per []Counting, psi int) {
+	l := t.lists[p]
+	for _, k := range t.slots[l.off : l.off+l.n] {
+		e := &t.ents[k]
+		if e.count == 0 {
+			per[e.sess].VM[psi].Protects++
+			e.base = t.wtotal[e.page]
+		}
+		e.count++
 	}
-	return t.arena[r.off : r.off+r.n]
+}
+
+// remove lowers the count of every active entry on placement p's slot
+// list. A 1→0 transition charges a VMUnprotect and credits the closed
+// interval's write exposure, wtotal − base, as ActivePageMiss. Entries
+// already at zero are left alone (a remove with no matching install is
+// a no-op).
+func (t *pageTab) remove(p int32, per []Counting, psi int) {
+	l := t.lists[p]
+	for _, k := range t.slots[l.off : l.off+l.n] {
+		e := &t.ents[k]
+		if e.count == 0 {
+			continue
+		}
+		e.count--
+		if e.count == 0 {
+			per[e.sess].VM[psi].Unprotects++
+			per[e.sess].VM[psi].ActivePageMiss += t.wtotal[e.page] - e.base
+		}
+	}
+}
+
+// settle credits every still-active entry's open interval, wtotal −
+// base, as ActivePageMiss (end of replay). Call exactly once.
+func (t *pageTab) settle(per []Counting, psi int) {
+	for _, e := range t.ents[1:] {
+		if e.count > 0 {
+			per[e.sess].VM[psi].ActivePageMiss += t.wtotal[e.page] - e.base
+		}
+	}
 }
 
 // livePages counts pages with at least one active (count > 0) entry —
 // the balance check the property suite asserts after install/remove-
 // balanced traces (everything protected must have been unprotected).
 func (t *pageTab) livePages() int {
+	live := make([]bool, len(t.wtotal))
 	n := 0
-	for i := range t.refs {
-		r := &t.refs[i]
-		for _, e := range t.arena[r.off : r.off+r.n] {
-			if e.count > 0 {
-				n++
-				break
-			}
+	for _, e := range t.ents[1:] {
+		if e.count > 0 && !live[e.page] {
+			live[e.page] = true
+			n++
 		}
 	}
 	return n
@@ -158,119 +188,10 @@ func (t *pageTab) livePages() int {
 // the engine's internal tests.
 func (t *pageTab) pendingCredit() uint64 {
 	var n uint64
-	for i := range t.refs {
-		r := &t.refs[i]
-		for _, e := range t.arena[r.off : r.off+r.n] {
-			if e.count > 0 {
-				n += r.wtotal - e.base
-			}
+	for _, e := range t.ents[1:] {
+		if e.count > 0 {
+			n += t.wtotal[e.page] - e.base
 		}
 	}
 	return n
-}
-
-// find binary-searches the sorted entry block for session s and
-// returns its index, or -1 when absent.
-func find(es []sessCount, s int32) int {
-	i, j := 0, len(es)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if es[h].sess < s {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	if i < len(es) && es[i].sess == s {
-		return i
-	}
-	return -1
-}
-
-// install raises the (sorted, distinct) member sessions' counts on
-// page pi. Members already holding an entry — active or tombstone —
-// are bumped in place; a 0→1 transition charges a VMProtect on per and
-// (re)bases the entry's interval credit at the current wtotal. Members
-// new to the page are inserted in sorted position by one backward
-// merge.
-func (t *pageTab) install(pi int32, members []int32, per []Counting, lo int32, psi int) {
-	r := &t.refs[pi]
-	es := t.arena[r.off : r.off+r.n]
-	newCnt := int32(0)
-	for _, s := range members {
-		k := find(es, s)
-		if k < 0 {
-			newCnt++
-			continue
-		}
-		if es[k].count == 0 {
-			per[s-lo].VM[psi].Protects++
-			es[k].base = r.wtotal
-		}
-		es[k].count++
-	}
-	if newCnt == 0 {
-		return
-	}
-
-	t.ensure(r, r.n+newCnt)
-	es = t.arena[r.off : r.off+r.n+newCnt]
-	// Backward merge: shift existing entries right past the insertion
-	// points, materialising the new members in sorted position. Members
-	// found above were already bumped and are copied untouched.
-	src := r.n - 1
-	dst := r.n + newCnt - 1
-	m := len(members) - 1
-	for dst > src {
-		switch {
-		case src >= 0 && (m < 0 || es[src].sess >= members[m]):
-			if m >= 0 && es[src].sess == members[m] {
-				m-- // already bumped in the first pass
-			}
-			es[dst] = es[src]
-			dst--
-			src--
-		default: // members[m] is new to the page
-			es[dst] = sessCount{sess: members[m], count: 1, base: r.wtotal}
-			per[members[m]-lo].VM[psi].Protects++
-			dst--
-			m--
-		}
-	}
-	r.n += newCnt
-}
-
-// remove lowers the (sorted, distinct) member sessions' counts on page
-// pi. A 1→0 transition charges a VMUnprotect on per and credits the
-// closed interval's write exposure, wtotal − base, as ActivePageMiss;
-// the entry stays behind as a tombstone. Members with no active entry
-// are ignored (mirroring the old engine's no-op decrement).
-func (t *pageTab) remove(pi int32, members []int32, per []Counting, lo int32, psi int) {
-	r := &t.refs[pi]
-	es := t.arena[r.off : r.off+r.n]
-	for _, s := range members {
-		k := find(es, s)
-		if k < 0 || es[k].count == 0 {
-			continue
-		}
-		es[k].count--
-		if es[k].count == 0 {
-			per[s-lo].VM[psi].Unprotects++
-			per[s-lo].VM[psi].ActivePageMiss += r.wtotal - es[k].base
-		}
-	}
-}
-
-// settle credits every still-active entry's open interval, wtotal −
-// base, as ActivePageMiss (end of replay). Call exactly once.
-func (t *pageTab) settle(per []Counting, lo int32, psi int) {
-	for i := range t.refs {
-		r := &t.refs[i]
-		es := t.arena[r.off : r.off+r.n]
-		for k := range es {
-			if es[k].count > 0 {
-				per[es[k].sess-lo].VM[psi].ActivePageMiss += r.wtotal - es[k].base
-			}
-		}
-	}
 }

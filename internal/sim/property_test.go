@@ -155,7 +155,7 @@ func TestPropertyPageTabBalance(t *testing.T) {
 			lo, hi := r[0], r[1]
 			per := make([]Counting, hi-lo)
 			var pages [2]pageTab
-			replayRange(tr, set, pp, lo, hi, per, &pages)
+			replayRange(set, pp, lo, hi, per, &pages)
 			for psi := range pages {
 				if live := pages[psi].livePages(); live != 0 {
 					t.Errorf("seed %d range [%d,%d) psi=%d: %d live pages after balanced trace",
@@ -195,7 +195,7 @@ func TestPropertyShardUnion(t *testing.T) {
 				continue
 			}
 			var pages [2]pageTab
-			replayRange(tr, set, pp, lo, hi, got[lo:hi], &pages)
+			replayRange(set, pp, lo, hi, got[lo:hi], &pages)
 		}
 		finishCounters(got, pp.TotalWrites)
 		for i := range got {

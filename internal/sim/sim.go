@@ -23,9 +23,10 @@
 //   - object → session membership is the CSR index of sessions.Set —
 //     one offset lookup and a shared flat int32 array, no per-object
 //     slice headers;
-//   - per-page session multisets live in an arena-backed dense table
-//     (pageTab) with sorted entries, replacing one heap allocation per
-//     live page with a handful of arena growths per replay.
+//   - per-page session counts live in a flat table (pageTab) with one
+//     entry per (page, session) pair ever active, reached through each
+//     placement's slot list: an install or remove walks a list, never
+//     a search, and a replay allocates a handful of slices in total.
 //
 // RunWithOptions is the only entry point, and one driver runs every
 // replay: it injects the replay fault, clamps the shard count, builds
@@ -39,12 +40,14 @@
 // front-ends exist:
 //
 //   - A materialised trace is replayed through its prepass (Prepare):
-//     writes are resolved to the object they hit and touched pages are
-//     remapped to dense indexes once, so every shard scans the shared
-//     []Event with pure slice indexing (replayRange).
+//     writes are resolved and counted per object, touched pages are
+//     remapped to dense indexes and installs/removes numbered by
+//     placement once, so every shard scans two shared int32 columns
+//     (replayRange).
 //   - A v3 StreamSource is decoded once, block by block, and each shard
-//     keeps incremental member-only word and page tables (stream.go).
-//     Blocks whose writes provably touch no monitored page are skipped.
+//     keeps incremental member-only word, page and placement tables
+//     (stream.go). Blocks whose writes provably touch no monitored page
+//     are skipped.
 //
 // Both front-ends drive the same pageTab accounting, so their outputs
 // are bit-identical (and the differential oracle suite, oracle_test.go,
@@ -61,6 +64,7 @@ import (
 
 	"edb/internal/arch"
 	"edb/internal/fault"
+	"edb/internal/objects"
 	"edb/internal/obsv"
 	"edb/internal/sessions"
 	"edb/internal/trace"
@@ -145,7 +149,7 @@ type Options struct {
 // load per replay, never per event.
 func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, error) {
 	out := &Output{Set: set}
-	r := replay{set: set, out: out, obs: o.Obs, tr: tr}
+	r := replay{set: set, out: out, obs: o.Obs}
 	events := 0
 	switch {
 	case o.Source != nil && tr != nil:
@@ -246,8 +250,7 @@ type replay struct {
 	set *sessions.Set
 	out *Output
 	obs *obsv.Tracer
-	// The in-memory front-end: the trace and its prepass.
-	tr *trace.Trace
+	// The in-memory front-end: the trace's prepass.
 	pp *Prepass
 	// The streamed front-end: the open stream and, with several
 	// shards, the decoder's per-shard feeds and free block list.
@@ -302,12 +305,14 @@ func (r replay) shard(k int, lo, hi int32) error {
 	per := r.out.PerSession[lo:hi]
 	if r.s == nil {
 		var pages [2]pageTab
-		replayRange(r.tr, r.set, r.pp, lo, hi, per, &pages)
+		replayRange(r.set, r.pp, lo, hi, per, &pages)
+		spanTables(&sp, &pages)
 		sp.End()
 		return nil
 	}
-	skipped, err := r.streamShard(k, lo, hi, per)
+	w, skipped, err := r.streamShard(k, lo, hi, per)
 	sp.Int("skipped_blocks", int64(skipped))
+	spanTables(&sp, &w.pages)
 	sp.End()
 	return err
 }
@@ -342,91 +347,125 @@ func finishCounters(per []Counting, totalWrites uint64) {
 }
 
 // replayRange is the in-memory front-end's shard: it replays the
-// shared prepassed event stream for the sessions in [lo, hi),
-// accumulating into per (the PerSession subslice for that range;
-// per[0] is session lo) and the caller-owned page tables. pp is the
-// immutable trace prepass; the core performs no hashing and no
-// per-event allocation — membership lookups are CSR offset arithmetic,
-// page lookups dense-slice indexing, and page multisets arena-backed.
-//
-// Event kinds were validated by Prepare; anything else is skipped.
-func replayRange(tr *trace.Trace, set *sessions.Set, pp *Prepass,
-	lo, hi int32, per []Counting, pages *[2]pageTab) {
-	for psi := range pages {
-		pages[psi].init(pp.NumPages[psi])
+// shared prepass columns for the sessions in [lo, hi), accumulating
+// into per (the PerSession subslice for that range; per[0] is session
+// lo) and the caller-owned page tables. The loop reads two int32
+// columns per event and performs no hashing, no search and no
+// membership lookup: an install or remove walks its placement's slot
+// lists (built the first time the shard meets the placement), a write
+// bumps one counter per page size. The per-object event counts are
+// credited to the member sessions once, at the end.
+func replayRange(set *sessions.Set, pp *Prepass, lo, hi int32, per []Counting, pages *[2]pageTab) {
+	r := newSessionRange(set, lo, hi)
+	var slots [2]int
+	for i := range pp.placements {
+		pl := &pp.placements[i]
+		m := len(r.members(pl.obj))
+		slots[0] += m * int(pl.n[0])
+		slots[1] += m * int(pl.n[1])
 	}
-	full := lo == 0 && hi == int32(len(set.Sessions))
-	for i := range tr.Events {
-		e := &tr.Events[i]
-		switch e.Kind {
-		case trace.EvInstall:
-			var members []int32
-			if full {
-				members = set.Membership(e.Obj)
+	for psi := range pages {
+		pages[psi].init(pp.NumPages[psi], int32(len(pp.placements)), lo, hi, slots[psi])
+	}
+	var buf [16]int32
+	ev1 := pp.evPage[1]
+	w0, w1 := pages[0].wtotal, pages[1].wtotal
+	for i, p := range pp.evPage[0] {
+		switch kind := ev1[i]; kind {
+		case evInstall, evRemove:
+			if !pages[0].isBuilt(p) {
+				r.buildPlacement(pages, p, &pp.placements[p], buf[:0])
+			}
+			if kind == evInstall {
+				pages[0].install(p, per, 0)
+				pages[1].install(p, per, 1)
 			} else {
-				members = set.MembershipRange(e.Obj, lo, hi)
+				pages[0].remove(p, per, 0)
+				pages[1].remove(p, per, 1)
 			}
-			if len(members) == 0 {
-				continue
-			}
-			for _, sess := range members {
-				per[sess-lo].Installs++
-			}
-			for psi, psz := range PageSizes {
-				first, last := arch.PagesSpanned(e.BA, e.EA, psz)
-				base := pp.evPage[psi][i]
-				for k := int32(0); k <= int32(last-first); k++ {
-					pages[psi].install(base+k, members, per, lo, psi)
-				}
-			}
-		case trace.EvRemove:
-			var members []int32
-			if full {
-				members = set.Membership(e.Obj)
-			} else {
-				members = set.MembershipRange(e.Obj, lo, hi)
-			}
-			if len(members) == 0 {
-				continue
-			}
-			for _, sess := range members {
-				per[sess-lo].Removes++
-			}
-			for psi, psz := range PageSizes {
-				first, last := arch.PagesSpanned(e.BA, e.EA, psz)
-				base := pp.evPage[psi][i]
-				for k := int32(0); k <= int32(last-first); k++ {
-					pages[psi].remove(base+k, members, per, lo, psi)
-				}
-			}
-		case trace.EvWrite:
-			if obj := pp.Resolved[i]; obj != 0 {
-				var hitSessions []int32
-				if full {
-					hitSessions = set.Membership(obj)
-				} else {
-					hitSessions = set.MembershipRange(obj, lo, hi)
-				}
-				for _, sess := range hitSessions {
-					per[sess-lo].Hits++
-				}
-			}
+		default:
 			// O(1) active-page accounting: bump the page's cumulative
 			// write counter; each session's share is credited as
 			// wtotal − base when its active interval closes (pageTab
 			// remove/settle). Hit sessions are over-credited by
 			// exactly one per hit; finishCounters subtracts Hits to
 			// cancel it (see the invariant documented there).
-			if pi := pp.evPage[0][i]; pi >= 0 {
-				pages[0].refs[pi].wtotal++
+			if p >= 0 {
+				w0[p]++
 			}
-			if pi := pp.evPage[1][i]; pi >= 0 {
-				pages[1].refs[pi].wtotal++
+			if q := ev1[i]; q >= 0 {
+				w1[q]++
 			}
 		}
 	}
 	for psi := range pages {
-		pages[psi].settle(per, lo, psi)
+		pages[psi].settle(per, psi)
+	}
+	for obj, c := range pp.objs {
+		if c == (objCount{}) {
+			continue
+		}
+		for _, s := range r.members(objects.ID(obj)) {
+			per[s-lo].Installs += c.installs
+			per[s-lo].Removes += c.removes
+			per[s-lo].Hits += c.hits
+		}
+	}
+}
+
+// buildPlacement makes prepass placement p's slot list in both page
+// tables, listing its consecutive dense pages in buf.
+func (r *sessionRange) buildPlacement(pages *[2]pageTab, p int32, pl *placement, buf []int32) {
+	members := r.members(pl.obj)
+	for psi := range pages {
+		ps := buf[:0]
+		for k := int32(0); k < pl.n[psi]; k++ {
+			ps = append(ps, pl.page[psi]+k)
+		}
+		pages[psi].build(p, members, ps, r.lo)
+	}
+}
+
+// sessionRange is the contiguous session-index range [lo, hi) one
+// shard owns — the whole set at the streamed decoder — with membership
+// lookups trimmed to it.
+type sessionRange struct {
+	set    *sessions.Set
+	lo, hi int32
+	full   bool
+}
+
+func newSessionRange(set *sessions.Set, lo, hi int32) sessionRange {
+	return sessionRange{set: set, lo: lo, hi: hi, full: lo == 0 && hi == int32(len(set.Sessions))}
+}
+
+// members returns the sessions of the range that contain obj.
+func (r *sessionRange) members(obj objects.ID) []int32 {
+	if r.full {
+		return r.set.Membership(obj)
+	}
+	return r.set.MembershipRange(obj, r.lo, r.hi)
+}
+
+// memberCount is the number of (object, session) memberships of the
+// range's sessions, from which a streamed shard sizes its slot lists.
+func (r *sessionRange) memberCount() int {
+	n := 0
+	for i := r.lo; i < r.hi; i++ {
+		n += len(r.set.Sessions[i].Objects)
+	}
+	return n
+}
+
+// tableKeys name the replay-shard span attributes that report each
+// page size's table: its placements (slot lists built) and entries.
+var tableKeys = [2][2]string{{"placements_4k", "entries_4k"}, {"placements_8k", "entries_8k"}}
+
+// spanTables reports the size of a shard's page tables on its span.
+func spanTables(sp *obsv.Span, pages *[2]pageTab) {
+	for psi := range pages {
+		sp.Int(tableKeys[psi][0], int64(pages[psi].built))
+		sp.Int(tableKeys[psi][1], int64(len(pages[psi].ents)-1))
 	}
 }
 

@@ -12,7 +12,8 @@ package sim
 // in flight and the memory ceiling is independent of the file.
 //
 // A shard has no prepass to lean on, so its worker keeps incremental
-// word-ownership and dense page tables, for member objects only.
+// word-ownership, dense page and placement tables, for member objects
+// only.
 //
 // Block skip (memberPages) elides the write columns of any block whose
 // written-page summary cannot intersect the pages a monitored session
@@ -106,12 +107,12 @@ func (r replay) decode(deliver func(*trace.BlockSummary, *trace.Block)) error {
 	return r.s.Err()
 }
 
-// streamShard replays the stream for sessions [lo, hi) and returns the
-// number of blocks whose writes it skipped. With one shard it is the
-// decode loop itself, calling its one worker directly with no block
-// copy; with several it drains the decoder's feed k.
-func (r replay) streamShard(k int, lo, hi int32, per []Counting) (skipped int, err error) {
-	w := newStreamWorker(r.set, lo, hi, per)
+// streamShard replays the stream for sessions [lo, hi) and returns its
+// worker and the number of blocks whose writes it skipped. With one
+// shard it is the decode loop itself, calling its one worker directly
+// with no block copy; with several it drains the decoder's feed k.
+func (r replay) streamShard(k int, lo, hi int32, per []Counting) (w *streamWorker, skipped int, err error) {
+	w = newStreamWorker(r.set, lo, hi, per)
 	if r.feeds == nil {
 		err = r.decode(func(sum *trace.BlockSummary, blk *trace.Block) {
 			skipped += w.consume(sum, blk)
@@ -126,7 +127,7 @@ func (r replay) streamShard(k int, lo, hi int32, per []Counting) (skipped int, e
 		}
 	}
 	w.settle()
-	return skipped, err
+	return w, skipped, err
 }
 
 // sharedBlock is one decoded block fanned out to all shard workers.
@@ -173,27 +174,6 @@ func (r replay) broadcast(sum *trace.BlockSummary, blk *trace.Block) {
 	for _, f := range r.feeds {
 		f <- sb
 	}
-}
-
-// sessionRange is the contiguous session-index range [lo, hi) one
-// shard owns — the whole set at the decoder — with membership lookups
-// trimmed to it.
-type sessionRange struct {
-	set    *sessions.Set
-	lo, hi int32
-	full   bool
-}
-
-func newSessionRange(set *sessions.Set, lo, hi int32) sessionRange {
-	return sessionRange{set: set, lo: lo, hi: hi, full: lo == 0 && hi == int32(len(set.Sessions))}
-}
-
-// members returns the sessions of the range that contain obj.
-func (r *sessionRange) members(obj objects.ID) []int32 {
-	if r.full {
-		return r.set.Membership(obj)
-	}
-	return r.set.MembershipRange(obj, r.lo, r.hi)
 }
 
 // memberPages is the block-skip test: the monotone set of 4 KiB pages
@@ -252,27 +232,50 @@ func (m *memberPages) add(pn uint32) {
 type wordPage [wordsPerPage]objects.ID
 
 // streamWorker is one shard's replay state: the same pageTab machinery
-// as the in-memory front-end, addressed through a dynamic raw-page →
-// dense-index map grown as member pages appear.
+// as the in-memory front-end, with placements numbered as they arrive
+// and pages addressed through a raw-page → dense-index map grown as
+// member pages appear. The maps are read when a placement is first met
+// and on the write path; an install or remove finds its placement
+// through its object's chain and its word pages through the
+// placement.
 type streamWorker struct {
 	sessionRange
 	per     []Counting
 	pages   [2]pageTab
 	pageIdx [2]map[uint32]int32
 	words   map[uint32]*wordPage
+	// newest[obj] is obj's newest placement + 1, 0 before its first
+	// install or remove and -1 when no session of the range contains
+	// it.
+	newest []int32
+	plc    []streamPlacement
+	// plcWords holds each placement's word pages, one run per
+	// placement, in span order.
+	plcWords []*wordPage
+	buf      []int32 // the dense pages of the placement being built
 	// skip is the worker's own block-skip test over its narrower
 	// range; nil for a single shard, whose range is the decoder's.
 	skip *memberPages
 
 	// Last-written-page cache: consecutive writes overwhelmingly land
 	// on the page of the previous write, so replayWrite caches that
-	// page's three table lookups. Any member install/remove invalidates
-	// it (those are the only events that create wordPages or dense page
-	// indices).
+	// page's three table lookups. A new placement invalidates it (the
+	// only event that creates wordPages or dense page indices).
 	wrCacheOK bool
 	wrPN      uint32
 	wrWords   *wordPage
 	wrPi      [2]int32 // dense index per page size, -1 = absent
+}
+
+// streamPlacement is one (object, 4 KiB page span) pair of the
+// worker's member objects and the installs and removes it has seen,
+// credited to the object's sessions at settle.
+type streamPlacement struct {
+	obj               objects.ID
+	first, last       uint32 // 4 KiB pages spanned; first > last for an empty range
+	older             int32  // the object's previous placement + 1, 0 ends
+	words             int32  // the placement's run in plcWords
+	installs, removes uint64
 }
 
 // newStreamWorker builds the replay state for sessions [lo, hi)
@@ -283,9 +286,23 @@ func newStreamWorker(set *sessions.Set, lo, hi int32, per []Counting) *streamWor
 		per:          per,
 		pageIdx:      [2]map[uint32]int32{make(map[uint32]int32), make(map[uint32]int32)},
 		words:        make(map[uint32]*wordPage),
+		newest:       make([]int32, set.NumObjects()+1),
 	}
+	// An object mostly has one placement on one page: expect one
+	// placement per member object and one slot per membership, plus an
+	// eighth for objects that move or straddle a page.
+	objs := 0
+	for id := 1; id < len(w.newest); id++ {
+		if len(w.members(objects.ID(id))) > 0 {
+			objs++
+		}
+	}
+	slots := w.memberCount()
+	slots += slots / 8
+	w.plc = make([]streamPlacement, 0, objs)
+	w.plcWords = make([]*wordPage, 0, objs)
 	for psi := range w.pages {
-		w.pages[psi].init(0)
+		w.pages[psi].init(0, int32(objs), lo, hi, slots)
 	}
 	return w
 }
@@ -302,11 +319,71 @@ func (w *streamWorker) consume(sum *trace.BlockSummary, blk *trace.Block) int {
 	return 0
 }
 
-// settle closes every open page interval into the worker's counters.
+// settle closes every open page interval into the worker's counters
+// and credits each placement's installs and removes to its object's
+// sessions.
 func (w *streamWorker) settle() {
 	for psi := range w.pages {
-		w.pages[psi].settle(w.per, w.lo, psi)
+		w.pages[psi].settle(w.per, psi)
 	}
+	for i := range w.plc {
+		pl := &w.plc[i]
+		for _, sess := range w.members(pl.obj) {
+			w.per[sess-w.lo].Installs += pl.installs
+			w.per[sess-w.lo].Removes += pl.removes
+		}
+	}
+}
+
+// placement returns the worker's placement for an install or remove of
+// obj over [ba, ea), creating it the first time, or -1 when no session
+// of the range contains obj.
+func (w *streamWorker) placement(obj objects.ID, ba, ea arch.Addr) int32 {
+	if int(obj) >= len(w.newest) || w.newest[obj] < 0 {
+		return -1
+	}
+	first, last := arch.PagesSpanned(ba, ea, arch.PageSize4K)
+	for k := w.newest[obj]; k != 0; k = w.plc[k-1].older {
+		if pl := &w.plc[k-1]; pl.first == first && pl.last == last {
+			return k - 1
+		}
+	}
+	members := w.members(obj)
+	if len(members) == 0 {
+		w.newest[obj] = -1
+		return -1
+	}
+	return w.newPlacement(obj, first, last, members)
+}
+
+// newPlacement appends obj's placement on 4 KiB pages [first, last],
+// builds its slot list in both page tables and collects its word
+// pages, creating any page the worker has not seen.
+func (w *streamWorker) newPlacement(obj objects.ID, first, last uint32, members []int32) int32 {
+	p := int32(len(w.plc))
+	w.plc = append(w.plc, streamPlacement{
+		obj: obj, first: first, last: last, older: w.newest[obj], words: int32(len(w.plcWords)),
+	})
+	w.newest[obj] = p + 1
+	w.wrCacheOK = false
+	for psi := range w.pages {
+		w.buf = w.buf[:0]
+		// An 8 KiB page number is the 4 KiB one shifted right by one.
+		for pn := first >> psi; first <= last && pn <= last>>psi; pn++ {
+			w.buf = append(w.buf, w.densePage(psi, pn))
+		}
+		w.pages[psi].addPlacement(p)
+		w.pages[psi].build(p, members, w.buf, w.lo)
+	}
+	for pn := first; first <= last && pn <= last; pn++ {
+		pg := w.words[pn]
+		if pg == nil {
+			pg = &wordPage{}
+			w.words[pn] = pg
+		}
+		w.plcWords = append(w.plcWords, pg)
+	}
+	return p
 }
 
 // densePage returns (creating on first touch) the dense page-table
@@ -315,9 +392,7 @@ func (w *streamWorker) densePage(psi int, pn uint32) int32 {
 	if pi, ok := w.pageIdx[psi][pn]; ok {
 		return pi
 	}
-	t := &w.pages[psi]
-	pi := int32(len(t.refs))
-	t.refs = append(t.refs, pageRef{})
+	pi := w.pages[psi].addPage()
 	w.pageIdx[psi][pn] = pi
 	return pi
 }
@@ -346,61 +421,35 @@ func (w *streamWorker) replayBlock(blk *trace.Block) {
 	}
 }
 
-// replayIREvent mirrors replayRange's install/remove arms: identical
-// membership lookups, counter bumps, and pageTab calls, so counters
-// are bit-identical; only the page addressing (dynamic map instead of
-// prepass remap) differs.
+// replayIREvent mirrors replayRange's install/remove arms: the same
+// slot-list walks over the same pageTab, so counters are bit-identical;
+// only the numbering of pages and placements differs.
 func (w *streamWorker) replayIREvent(kind trace.EventKind, obj objects.ID, ba, ea arch.Addr) {
-	members := w.members(obj)
-	if len(members) == 0 {
+	p := w.placement(obj, ba, ea)
+	if p < 0 {
 		return
 	}
-	// This event may create wordPages or dense page indices the cached
-	// write lookups would miss.
-	w.wrCacheOK = false
-	install := kind == trace.EvInstall
-	if install {
-		for _, sess := range members {
-			w.per[sess-w.lo].Installs++
-		}
-	} else {
-		for _, sess := range members {
-			w.per[sess-w.lo].Removes++
-		}
-	}
-	for psi, psz := range PageSizes {
-		first, last := arch.PagesSpanned(ba, ea, psz)
-		for pn := first; pn <= last; pn++ {
-			pi := w.densePage(psi, pn)
-			if install {
-				w.pages[psi].install(pi, members, w.per, w.lo, psi)
-			} else {
-				w.pages[psi].remove(pi, members, w.per, w.lo, psi)
-			}
-		}
-	}
+	pl := &w.plc[p]
 	// Word-ownership for hit resolution, member objects only. The
 	// exclusivity invariant makes ignoring non-members safe: a word
 	// owned by a non-member resolves to 0 here instead, and both have
 	// empty membership.
-	if install {
+	words := w.plcWords[pl.words:]
+	if kind == trace.EvInstall {
+		pl.installs++
+		w.pages[0].install(p, w.per, 0)
+		w.pages[1].install(p, w.per, 1)
 		for a := ba; a < ea; a += arch.WordBytes {
-			pn := uint32(a) >> 12
-			pg := w.words[pn]
-			if pg == nil {
-				pg = &wordPage{}
-				w.words[pn] = pg
-			}
-			pg[(a%4096)/4] = obj
+			words[uint32(a)>>12-pl.first][(a%4096)/4] = obj
 		}
-	} else {
-		for a := ba; a < ea; a += arch.WordBytes {
-			if pg := w.words[uint32(a)>>12]; pg != nil {
-				idx := (a % 4096) / 4
-				if pg[idx] == obj {
-					pg[idx] = 0
-				}
-			}
+		return
+	}
+	pl.removes++
+	w.pages[0].remove(p, w.per, 0)
+	w.pages[1].remove(p, w.per, 1)
+	for a := ba; a < ea; a += arch.WordBytes {
+		if pg := words[uint32(a)>>12-pl.first]; pg[(a%4096)/4] == obj {
+			pg[(a%4096)/4] = 0
 		}
 	}
 }
@@ -432,9 +481,9 @@ func (w *streamWorker) replayWrite(ba arch.Addr) {
 		}
 	}
 	if pi := w.wrPi[0]; pi >= 0 {
-		w.pages[0].refs[pi].wtotal++
+		w.pages[0].wtotal[pi]++
 	}
 	if pi := w.wrPi[1]; pi >= 0 {
-		w.pages[1].refs[pi].wtotal++
+		w.pages[1].wtotal[pi]++
 	}
 }

@@ -338,6 +338,26 @@ func TestStreamObserved(t *testing.T) {
 	if !spanHasAttr(obs, "replay-stream-shard", "skipped_blocks") {
 		t.Error("replay-stream-shard span lacks skipped_blocks attribute")
 	}
+	// The streamed worker numbers pages and placements its own way, but
+	// its shards list the same (page, session) entries as the in-memory
+	// shards over the same ranges.
+	mem := obsv.NewTracer(256)
+	if _, err := RunWithOptions(tr, set, Options{Shards: k, Obs: mem}); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(xs []int64) (n int64) {
+		for _, x := range xs {
+			n += x
+		}
+		return n
+	}
+	for _, key := range []string{"entries_4k", "entries_8k"} {
+		got := spanInts(t, obs, "replay-stream-shard", key)
+		want := sum(spanInts(t, mem, "replay-shard", key))
+		if len(got) != k || sum(got) != want || want == 0 {
+			t.Errorf("replay-stream-shard %s = %v, want %d shards summing to the in-memory %d", key, got, k, want)
+		}
+	}
 }
 
 // TestStreamFaultInjection: SiteSimReplay fires on the streamed engine
