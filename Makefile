@@ -3,7 +3,7 @@
 # all five benchmark workloads, build, and the full test suite under
 # the race detector, twice (-count=2 defeats the test cache and catches
 # order-dependent state; -race is load-bearing for the parallel
-# experiment pipeline and the sharded simulator).
+# experiment pipeline and edb-serve's worker pool).
 
 GO ?= go
 
@@ -114,8 +114,8 @@ cover:
 #   obsv     observation off costs a nil check: zero-alloc nil sinks,
 #            warm pipeline rerun vs BENCH_pipeline.json
 #   replay   flat replay core vs BENCH_replay_core.json
-#   trace    streamed and pipelined from-file replay vs
-#            BENCH_trace_store.json (>=2x over v2, >=1.3x over re-read)
+#   trace    streamed from-file replay vs BENCH_trace_store.json
+#            (>=2x over v2 read+replay)
 #   serve    1024-submission soak of a live edb-serve: zero failures,
 #            zero inconsistencies, leak-free drain, p99 vs BENCH_serve.json
 #   repatch  incremental re-patching vs stop-the-world rebuild (>=3x)
@@ -138,7 +138,8 @@ gate-%:
 # Regenerate the parallel-pipeline baseline recorded in
 # BENCH_pipeline.json / EXPERIMENTS.md.
 bench-pipeline:
-	$(GO) test -bench 'BenchmarkSimReplay|BenchmarkExpRun' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkGate/^replay$$' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkExpRun' -benchmem -run '^$$' .
 
 # Regenerate the flat replay-core baseline recorded in
 # BENCH_replay_core.json: the end-to-end engine matrix (with and
@@ -146,7 +147,7 @@ bench-pipeline:
 # split; then the prepassed-vs-streamed front-end comparison DESIGN §11
 # quotes, on one core.
 bench-replay:
-	$(GO) test -bench 'BenchmarkSimReplay' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkGate/^replay$$' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkPrepass$$|BenchmarkReplayCore' -benchmem -run '^$$' ./internal/sim/
 	$(GO) test -bench 'BenchmarkFrontEnd' -cpu 1 -benchmem -run '^$$' ./internal/sim/
 

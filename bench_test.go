@@ -234,64 +234,6 @@ func BenchmarkLiveStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkSimReplay measures the phase-2 replay driver on the bps
-// trace (the suite's largest session population): one inline pass
-// (Shards: 1, named "sequential") against several session shard
-// counts. The plain variants recompute the trace prepass per
-// replay (a cold standalone run); the -prepassed variants share one
-// precomputed prepass across iterations, which is what internal/exp
-// pays after caching the prepass with the trace artifact. On a
-// multi-core host the sharded engine's wall-clock should drop roughly
-// with the shard count until sharding overhead dominates; on one core
-// it quantifies the fan-out overhead instead.
-func BenchmarkSimReplay(b *testing.B) {
-	tr, set, _ := fixtures(b)
-	pp, err := sim.Prepare(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(set.Sessions)), "sessions")
-	})
-	b.Run("sequential-prepassed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1, Prepass: pp}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(set.Sessions)), "sessions")
-	})
-	ks := []int{1, 2, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	for _, k := range ks {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		b.Run(fmt.Sprintf("sharded-%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: k}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(set.Sessions)), "sessions")
-		})
-		b.Run(fmt.Sprintf("sharded-%d-prepassed", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunWithOptions(tr, set, sim.Options{Shards: k, Prepass: pp}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(set.Sessions)), "sessions")
-		})
-	}
-}
-
 // BenchmarkExpRunPipeline measures the full five-benchmark experiment
 // end to end — compile, trace, discover, replay, model — from a cold
 // cache, at Workers=1 versus Workers=NumCPU. The ratio of the two

@@ -73,9 +73,8 @@ func replaySetup(tb testing.TB) (map[string]any, []gateOp) {
 		}
 	}
 	return nil, []gateOp{
-		{row: "SimReplay/sequential", op: replay(sim.Options{Shards: 1})},
-		{row: "SimReplay/sequential-prepassed", op: replay(sim.Options{Shards: 1, Prepass: pp})},
-		{row: "SimReplay/sharded-2-prepassed", op: replay(sim.Options{Shards: 2, Prepass: pp})},
+		{row: "SimReplay/sequential", op: replay(sim.Options{})},
+		{row: "SimReplay/sequential-prepassed", op: replay(sim.Options{Prepass: pp})},
 	}
 }
 
@@ -116,29 +115,17 @@ func traceSetup(tb testing.TB) (map[string]any, []gateOp) {
 	fx.preflight(tb)
 	return facts, []gateOp{
 		{row: "TraceReplayFile/v2-read-sequential", op: func(tb testing.TB) { fx.replayV2File(tb) }, events: n},
-		{row: "TraceReplayFile/v3-streamed-skip", op: func(tb testing.TB) { fx.replayV3(tb, 1) }, events: n},
-		{row: "TraceReplayFile/v3-pipeline-sharded", op: func(tb testing.TB) { fx.replayV3(tb, gateShards) }, events: n},
-		{row: "TraceReplayFile/v3-pershard-reread", op: func(tb testing.TB) { fx.replayV3PerShardReread(tb) }, events: n},
+		{row: "TraceReplayFile/v3-streamed-skip", op: func(tb testing.TB) { fx.replayV3(tb) }, events: n},
 	}
 }
 
-// preflight: every from-file path must agree bit for bit with the v2
+// preflight: the streamed v3 replay must agree bit for bit with the v2
 // in-memory replay on this exact set before its speed is worth
 // comparing (the property suite holds this across many sets).
 func (fx *traceGate) preflight(tb testing.TB) {
-	want := fx.replayV2File(tb).PerSession
-	same := func(path string, got []sim.Counting) {
-		if !reflect.DeepEqual(want, got) {
-			tb.Fatalf("%s replay counters diverge from the v2 in-memory replay on the gate set", path)
-		}
+	if !reflect.DeepEqual(fx.replayV2File(tb).PerSession, fx.replayV3(tb).PerSession) {
+		tb.Fatal("streamed replay counters diverge from the v2 in-memory replay on the gate set")
 	}
-	same("streamed", fx.replayV3(tb, 1).PerSession)
-	same("pipeline", fx.replayV3(tb, gateShards).PerSession)
-	var merged []sim.Counting
-	for _, out := range fx.replayV3PerShardReread(tb) {
-		merged = append(merged, out.PerSession...)
-	}
-	same("per-shard re-read", merged)
 }
 
 // replayV2File materialises the v2 file into memory, then replays it
@@ -149,41 +136,17 @@ func (fx *traceGate) replayV2File(tb testing.TB) *sim.Output {
 	tr, err := trace.Read(f)
 	f.Close()
 	check(tb, err)
-	out, err := sim.RunWithOptions(tr, fx.set, sim.Options{Shards: 1})
+	out, err := sim.RunWithOptions(tr, fx.set, sim.Options{})
 	check(tb, err)
 	return out
 }
 
 // replayV3 streams the v3 file block by block, never materialising
-// []Event. One shard is the streamed path: block skip is on but fires
-// on none of this set's blocks. More shards is the decode pipeline: one
-// goroutine decodes the file once and fans blocks out to the workers.
-func (fx *traceGate) replayV3(tb testing.TB, shards int) *sim.Output {
-	out, err := sim.RunWithOptions(nil, fx.set, sim.Options{Source: trace.FileSource(fx.v3path), Shards: shards})
+// []Event. Block skip is on but fires on none of this set's blocks.
+func (fx *traceGate) replayV3(tb testing.TB) *sim.Output {
+	out, err := sim.RunWithOptions(nil, fx.set, sim.Options{Source: trace.FileSource(fx.v3path)})
 	check(tb, err)
 	return out
-}
-
-// replayV3PerShardReread emulates the fan-out the decode pipeline
-// replaced: gateShards concurrent workers, each opening the v3 file
-// itself and replaying only its contiguous session range — the file is
-// read and decoded once per shard.
-func (fx *traceGate) replayV3PerShardReread(tb testing.TB) []*sim.Output {
-	n := len(fx.set.Sessions)
-	outs := make([]*sim.Output, gateShards)
-	errs := make([]error, gateShards)
-	var wg sync.WaitGroup
-	for k := 0; k < gateShards; k++ {
-		sub := sessions.NewSet(fx.set.Sessions[k*n/gateShards:(k+1)*n/gateShards], fx.set.NumObjects())
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			outs[k], errs[k] = sim.RunWithOptions(nil, sub, sim.Options{Source: trace.FileSource(fx.v3path), Shards: 1})
-		}(k)
-	}
-	wg.Wait()
-	check(tb, errors.Join(errs...))
-	return outs
 }
 
 // serveSoak boots a real server on a loopback listener and drives
@@ -267,8 +230,6 @@ func serveSoak(t *testing.T) (map[string]any, map[string]gateRow) {
 }
 
 const (
-	// gateShards is the shard count of the pipeline-vs-reread pair.
-	gateShards = 4
 	// soakRow is the serve suite's one row: the soak's latency and
 	// survivability summary.
 	soakRow = "Soak/hash-first"

@@ -350,16 +350,12 @@ var gateSuites = []gateSuite{
 		within("SimReplay/sequential bytes_op", 1.05, 0),
 		within("SimReplay/sequential-prepassed ns_op", 1+clockSlack, 0),
 		within("SimReplay/sequential-prepassed allocs_op", 1.02, 1),
-		within("SimReplay/sharded-2-prepassed ns_op", 1+clockSlack, 0),
-		within("SimReplay/sharded-2-prepassed allocs_op", 1.02, 1),
 		below(2, "ns_op", "SimReplay/sequential", "pre-rewrite/SimReplay/sequential", recorded),
 		below(5, "allocs_op", "SimReplay/sequential", "pre-rewrite/SimReplay/sequential", recorded),
 	}},
-	// Streamed v3 replay beats v2 read+replay, and the one-pass decode
-	// pipeline beats re-reading the file per shard.
+	// Streamed v3 replay beats v2 read+replay.
 	{name: "trace", file: "BENCH_trace_store.json", setup: traceSetup, bars: []bar{
 		below(2, "ns_op", "TraceReplayFile/v3-streamed-skip", "TraceReplayFile/v2-read-sequential", both),
-		below(1.3, "ns_op", "TraceReplayFile/v3-pipeline-sharded", "TraceReplayFile/v3-pershard-reread", both),
 		within("TraceReplayFile/v3-streamed-skip ns_op", 1+clockSlack, 0),
 		within("TraceReplayFile/v3-streamed-skip allocs_op", 1.02, 1),
 		holds("v2_bytes", ">", 0, recorded),

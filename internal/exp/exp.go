@@ -70,7 +70,7 @@ type Config struct {
 
 	// Tracer, when non-nil, collects a span for every phase boundary
 	// of the pipeline — per-benchmark compile, assemble, tracegen,
-	// session discovery, replay (with per-shard spans), model
+	// session discovery, replay (with the sim engine span), model
 	// evaluation — plus instant events for cache hits/misses, retries,
 	// contained panics, and chaos-fault firings. Export the collected
 	// stream with the obsv exporters (text timeline, Chrome

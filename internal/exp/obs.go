@@ -54,8 +54,8 @@ const (
 	PhaseMeasure = "measure"
 	// PhaseDiscover is monitor-session discovery over the trace.
 	PhaseDiscover = "discover"
-	// PhaseReplay is the phase-2 counting replay (per-strategy shard
-	// spans appear under it when the sharded engine runs).
+	// PhaseReplay is the phase-2 counting replay (the sim engine span
+	// appears under it).
 	PhaseReplay = "replay"
 	// PhaseModel evaluates the §7 analytical models and statistics.
 	PhaseModel = "model"

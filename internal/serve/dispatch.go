@@ -181,7 +181,7 @@ func (d *dispatcher) protected(ctx context.Context, tenant string, attempt func(
 // submission's spec (keeping original discovery indices), replay the
 // subset, and seal the result under its hash. It is deterministic:
 // the same request bytes always produce the same ResultSHA,
-// regardless of shard count, retry lane, or which hedge won.
+// regardless of retry lane or which hedge won.
 func computeArtifact(tenant string, req *Request) (*Artifact, error) {
 	// Panic-kind injections panic out of Inject itself; the dispatcher's
 	// containment converts them into a ReplayPanicError.
@@ -192,7 +192,7 @@ func computeArtifact(tenant string, req *Request) (*Artifact, error) {
 	// materialised and the spooled shapes feed the same path; the spool
 	// replays through the streamed sim engine instead of in memory.
 	numEvents := 0
-	simTrace, simOpts := req.Trace, sim.Options{Shards: req.Header.Shards}
+	simTrace, simOpts := req.Trace, sim.Options{}
 	discTrace := req.Trace
 	if st := req.Streamed; st != nil {
 		numEvents = int(st.NumEvents)

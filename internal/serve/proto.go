@@ -158,7 +158,9 @@ type RequestHeader struct {
 	Program string `json:"program,omitempty"`
 	// Sessions selects the replayed session subset.
 	Sessions SessionSpec `json:"sessions"`
-	// Shards forwards sim.Options.Shards (0 = auto).
+	// Shards is accepted and ignored: every replay is one pass. The
+	// decoder rejects unknown fields, so dropping it would reject old
+	// clients; a negative value is still a bad request.
 	Shards int `json:"shards,omitempty"`
 	// ContentSHA256 declares the submission's content hash
 	// (Request.Hash of a previous identical submission). Required for
@@ -193,9 +195,8 @@ type Request struct {
 	// on a full submission.
 	Streamed *StreamedTrace
 	// Hash is the submission's content address: the hex SHA-256 of the
-	// trace payload concatenated with the canonical session spec and
-	// shard selection. For hash-only submissions it is the declared
-	// hash.
+	// trace payload concatenated with the canonical session spec. For
+	// hash-only submissions it is the declared hash.
 	Hash string
 }
 
@@ -203,14 +204,23 @@ type Request struct {
 func (r *Request) HashOnly() bool { return r.Trace == nil && r.Streamed == nil }
 
 // contentHash computes a submission's content address. It covers the
-// trace payload bytes and the canonical replay question (session spec
-// + shards) — not the tenant, which is what makes identical
-// submissions dedupe across tenants.
+// trace payload bytes and the canonical replay question (hashQuestion)
+// — not the tenant, which is what makes identical submissions dedupe
+// across tenants.
 func contentHash(traceBytes []byte, h *RequestHeader) string {
 	sum := sha256.New()
 	sum.Write(traceBytes)
-	fmt.Fprintf(sum, "|%s|shards=%d", h.Sessions.canonical(), h.Shards)
+	hashQuestion(sum, h)
 	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// hashQuestion writes the canonical replay question that follows the
+// trace bytes in a content address. The shards term is the literal 0
+// whatever the header says: shards no longer changes a result, and the
+// literal keeps valid every address a submission that left shards out
+// ever received, the hash-only fuzz seeds' included.
+func hashQuestion(w io.Writer, h *RequestHeader) {
+	fmt.Fprintf(w, "|%s|shards=0", h.Sessions.canonical())
 }
 
 // HashRequest computes the content address a full submission with

@@ -96,6 +96,15 @@ func TestRequestHashCoversSpec(t *testing.T) {
 		return req.Hash
 	}
 	all := hash(&RequestHeader{})
+	// The address of a default submission is stable across releases:
+	// stored artifacts and declared hashes stay reachable.
+	if want := "3e66b6f56a67be17e30b760baf3e387af7497f88b8e6cfa05783a23b2829b35d"; all != want {
+		t.Errorf("default submission hashes to %s, want %s", all, want)
+	}
+	// Shards is accepted and ignored, so it must not split the store.
+	if sharded := hash(&RequestHeader{Shards: 3}); sharded != all {
+		t.Errorf("shards=3 hashes to %s, want the default %s", sharded, all)
+	}
 	subset := hash(&RequestHeader{Sessions: SessionSpec{Types: []string{"OneHeap"}}})
 	if all == subset {
 		t.Error("different session specs hash identically")

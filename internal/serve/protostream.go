@@ -247,7 +247,7 @@ func DecodeRequestStream(r io.Reader, maxBytes int64, spoolDir string) (*Request
 
 	// Content address, computed incrementally over the spooled bytes:
 	// identical to contentHash on the materialised payload.
-	fmt.Fprintf(sha, "|%s|shards=%d", hdr.Sessions.canonical(), hdr.Shards)
+	hashQuestion(sha, &hdr)
 	hash := hex.EncodeToString(sha.Sum(nil))
 	if hdr.ContentSHA256 != "" && hdr.ContentSHA256 != hash {
 		drop()

@@ -160,6 +160,11 @@ func TestDecodeRequestStreamRejects(t *testing.T) {
 		bad.ContentSHA256 = validButWrongHash
 		return envelope(t, &bad, v3.Bytes())
 	})
+	mutate("negative shards", func(b []byte) []byte {
+		bad := *hdr
+		bad.Shards = -1
+		return envelope(t, &bad, v3.Bytes())
+	})
 }
 
 const validButWrongHash = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"

@@ -83,7 +83,7 @@ func mutateArtifact(req *Request, base *Artifact) (*Artifact, error) {
 	}
 	if len(added) > 0 {
 		subset := sessions.NewSet(added, full.NumObjects())
-		out, err := sim.RunWithOptions(req.Trace, subset, sim.Options{Shards: req.Header.Shards})
+		out, err := sim.RunWithOptions(req.Trace, subset, sim.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("serve: replay: %w", err)
 		}

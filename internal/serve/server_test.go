@@ -213,7 +213,8 @@ func TestServerStreamedReplay(t *testing.T) {
 		t.Fatalf("streamed resubmission: cached=%v sha match=%v err=%v",
 			again.Cached, again.ResultSHA == want.ResultSHA, again.Err)
 	}
-	// Sharded streamed replay agrees too (the decode pipeline path).
+	// A shards field is accepted and ignored: the same question, so a
+	// cache hit on the stored artifact.
 	sharded := client(srv, "t").Submit(context.Background(),
 		&serve.RequestHeader{Program: "qcd", Shards: 3}, payload)
 	if sharded.Failed() || sharded.Sessions != want.Sessions {
@@ -222,6 +223,9 @@ func TestServerStreamedReplay(t *testing.T) {
 	}
 	if sharded.ResultSHA != want.ResultSHA {
 		t.Fatalf("sharded streamed result diverges: %s vs %s", sharded.ResultSHA, want.ResultSHA)
+	}
+	if !sharded.Cached {
+		t.Fatal("sharded streamed submission missed the stored artifact")
 	}
 	// A corrupted envelope through the streaming decoder is still a
 	// typed 400.

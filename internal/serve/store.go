@@ -1,6 +1,6 @@
 // The artifact store: crash-safe, content-addressed replay results.
 // Artifacts are keyed by the submission's content hash (trace bytes +
-// canonical session spec + shards — deliberately not the tenant, so
+// canonical session spec — deliberately not the tenant, so
 // identical submissions dedupe across tenants: possession of the hash
 // is the capability to read the result). Writes go through
 // internal/safeio (temp + fsync + rename), so a kill -9 mid-write

@@ -91,8 +91,8 @@ func (s *Session) Label() string {
 // Members[MemberOff[id]:MemberOff[id+1]]. Compared with the previous
 // [][]int32 layout, CSR removes ~one slice header (24 B) and one heap
 // object per program object, stores every membership list contiguously
-// (the replay hot loop walks them millions of times), and turns
-// MembershipRange into pure offset arithmetic over one backing array.
+// (the replay hot loop walks them millions of times), and turns a
+// lookup into pure offset arithmetic over one backing array.
 type Set struct {
 	Sessions []Session
 
@@ -103,12 +103,8 @@ type Set struct {
 	// object id are Members[MemberOff[id]:MemberOff[id+1]].
 	//
 	// Within one object's span the session indices are strictly
-	// ascending (NewSet appends session indices in session order). The
-	// sortedness is an invariant sharded replay (internal/sim with
-	// Options.Shards > 1) relies on: it lets a shard owning the
-	// contiguous session range [lo, hi) binary-search straight to its
-	// members via MembershipRange. Use the Membership accessor rather
-	// than indexing these directly.
+	// ascending (NewSet appends session indices in session order). Use
+	// the Membership accessor rather than indexing these directly.
 	MemberOff []int32
 	Members   []int32
 }
@@ -130,17 +126,6 @@ func (s *Set) Membership(id objects.ID) []int32 {
 		return nil
 	}
 	return s.Members[s.MemberOff[id]:s.MemberOff[id+1]]
-}
-
-// MembershipRange returns the subslice of Membership(id) whose session
-// indices fall in [lo, hi). The CSR row is located by pure offset
-// arithmetic; the [lo, hi) trim is a binary search within the row,
-// relying on the ascending-order invariant. Never allocates.
-func (s *Set) MembershipRange(id objects.ID, lo, hi int32) []int32 {
-	m := s.Membership(id)
-	i := sort.Search(len(m), func(k int) bool { return m[k] >= lo })
-	j := i + sort.Search(len(m[i:]), func(k int) bool { return m[i+k] >= hi })
-	return m[i:j]
 }
 
 // NewSet builds a Set from an explicit session list, renumbering

@@ -126,8 +126,8 @@ func TestMembershipIndex(t *testing.T) {
 	}
 }
 
-// TestMembershipSorted pins the ascending-order invariant of Membership
-// that the sharded simulator's binary search depends on.
+// TestMembershipSorted pins the ascending-order invariant of
+// Membership.
 func TestMembershipSorted(t *testing.T) {
 	set := Discover(buildTrace())
 	for id := 1; id <= set.NumObjects(); id++ {
@@ -136,40 +136,6 @@ func TestMembershipSorted(t *testing.T) {
 			if m[k-1] >= m[k] {
 				t.Fatalf("Membership[%d] not strictly ascending: %v", id, m)
 			}
-		}
-	}
-}
-
-func TestMembershipRange(t *testing.T) {
-	set := Discover(buildTrace())
-	n := int32(len(set.Sessions))
-	for id := 1; id <= set.NumObjects(); id++ {
-		full := set.Membership(objects.ID(id))
-		// The full range reproduces the whole list.
-		if got := set.MembershipRange(objects.ID(id), 0, n); len(got) != len(full) {
-			t.Errorf("object %d: full range returned %v, want %v", id, got, full)
-		}
-		// Every split point partitions the list exactly.
-		for cut := int32(0); cut <= n; cut++ {
-			lo := set.MembershipRange(objects.ID(id), 0, cut)
-			hi := set.MembershipRange(objects.ID(id), cut, n)
-			if len(lo)+len(hi) != len(full) {
-				t.Fatalf("object %d cut %d: %v + %v != %v", id, cut, lo, hi, full)
-			}
-			for _, s := range lo {
-				if s >= cut {
-					t.Fatalf("object %d: session %d escaped [0,%d)", id, s, cut)
-				}
-			}
-			for _, s := range hi {
-				if s < cut {
-					t.Fatalf("object %d: session %d escaped [%d,%d)", id, s, cut, n)
-				}
-			}
-		}
-		// Empty range.
-		if got := set.MembershipRange(objects.ID(id), 0, 0); len(got) != 0 {
-			t.Errorf("object %d: empty range returned %v", id, got)
 		}
 	}
 }

@@ -64,9 +64,9 @@ var churnSimSchedule = []tracer.ChurnPoint{
 	{Sym: "acc", AfterWrites: 130},
 }
 
-// TestChurnReplayEnginesAgree: sequential, sharded, and streamed
-// (v3-decoded, with block skip) replay of a churned trace produce
-// identical per-session counting vectors.
+// TestChurnReplayEnginesAgree: in-memory and streamed (v3-decoded,
+// with block skip) replay of a churned trace produce identical
+// per-session counting vectors.
 func TestChurnReplayEnginesAgree(t *testing.T) {
 	tr := churnedSimTrace(t, churnSimSchedule)
 	set := sessions.Discover(tr)
@@ -75,25 +75,11 @@ func TestChurnReplayEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh, err := sharded(tr, set, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.TotalWrites != base.TotalWrites {
-		t.Fatalf("sharded TotalWrites %d != %d", sh.TotalWrites, base.TotalWrites)
-	}
-	for i := range base.PerSession {
-		if sh.PerSession[i] != base.PerSession[i] {
-			t.Errorf("session %s: sharded %+v != sequential %+v",
-				set.Sessions[i].Label(), sh.PerSession[i], base.PerSession[i])
-		}
-	}
-
 	var buf bytes.Buffer
 	if err := trace.WriteTo(&buf, tr, trace.WriteOptions{Version: 3, BlockEvents: 32}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := streamed(trace.BytesSource(buf.Bytes()), set, 4)
+	st, err := streamed(trace.BytesSource(buf.Bytes()), set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,18 +41,10 @@ func TestMetamorphicSessionPermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		psh, err := sharded(tr, pset, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for newIdx, oldIdx := range perm {
 			want := base.PerSession[oldIdx]
 			if got := pseq.PerSession[newIdx]; got != want {
 				t.Errorf("seed %d session %s: permuted sequential %+v != base %+v",
-					seed, set.Sessions[oldIdx].Label(), got, want)
-			}
-			if got := psh.PerSession[newIdx]; got != want {
-				t.Errorf("seed %d session %s: permuted sharded %+v != base %+v",
 					seed, set.Sessions[oldIdx].Label(), got, want)
 			}
 		}

@@ -12,8 +12,8 @@ import (
 // observation never feeds back. A replay under a live tracer must be
 // bit-identical to the unobserved replay, for both engines, and the
 // expected span structure must appear — the prepass span (only when the
-// engine computes the prepass itself), the engine span with its
-// events_per_sec attribute, and one span per shard worker.
+// engine computes the prepass itself) and the engine span with its
+// events_per_sec and table-size attributes.
 func TestObservedReplayIsBitIdentical(t *testing.T) {
 	tr := checkedTrace(t, 71, 1500)
 	set := sessions.Discover(tr)
@@ -24,7 +24,7 @@ func TestObservedReplayIsBitIdentical(t *testing.T) {
 
 	// Sequential, engine-computed prepass.
 	obs := obsv.NewTracer(256)
-	seq, err := RunWithOptions(tr, set, Options{Shards: 1, Obs: obs})
+	seq, err := RunWithOptions(tr, set, Options{Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,45 +44,35 @@ func TestObservedReplayIsBitIdentical(t *testing.T) {
 		t.Error("replay-sequential span lacks events_per_sec attribute")
 	}
 
-	// Sharded, shared precomputed prepass: no prepass span, one span
-	// per worker.
+	// Shared precomputed prepass: no prepass span, one engine span.
 	pp, err := Prepare(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs = obsv.NewTracer(256)
-	const k = 3
-	sh, err := RunWithOptions(tr, set, Options{Shards: k, Obs: obs, Prepass: pp})
+	pre, err := RunWithOptions(tr, set, Options{Obs: obs, Prepass: pp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range quiet.PerSession {
-		if sh.PerSession[i] != quiet.PerSession[i] {
-			t.Fatalf("session %d: observed sharded diverged: %+v != %+v",
-				i, sh.PerSession[i], quiet.PerSession[i])
+		if pre.PerSession[i] != quiet.PerSession[i] {
+			t.Fatalf("session %d: observed prepassed replay diverged: %+v != %+v",
+				i, pre.PerSession[i], quiet.PerSession[i])
 		}
 	}
 	names = spanNames(obs)
 	if names["replay-prepass"] != 0 {
-		t.Error("sharded replay with a supplied prepass still recorded a replay-prepass span")
+		t.Error("replay with a supplied prepass still recorded a replay-prepass span")
 	}
-	if names["replay-sharded"] == 0 {
-		t.Errorf("no replay-sharded span (got %v)", names)
+	if names["replay-sequential"] != 1 {
+		t.Errorf("want 1 replay-sequential span (got %v)", names)
 	}
-	if names["replay-shard"] != k {
-		t.Errorf("got %d replay-shard worker spans, want %d", names["replay-shard"], k)
-	}
-	// Every shard replays every event, so it builds a slot list for
-	// every placement of the prepass, in both page tables.
+	// The replay meets every event, so it builds a slot list for every
+	// placement of the prepass, in both page tables.
 	for _, key := range []string{"placements_4k", "placements_8k"} {
-		got := spanInts(t, obs, "replay-shard", key)
-		if len(got) != k {
-			t.Fatalf("replay-shard %s: %v, want one per shard", key, got)
-		}
-		for _, n := range got {
-			if n != int64(len(pp.placements)) {
-				t.Errorf("replay-shard %s = %d, want the prepass's %d placements", key, n, len(pp.placements))
-			}
+		got := spanInts(t, obs, "replay-sequential", key)
+		if len(got) != 1 || got[0] != int64(len(pp.placements)) {
+			t.Errorf("replay-sequential %s = %v, want the prepass's %d placements", key, got, len(pp.placements))
 		}
 	}
 }
@@ -95,10 +85,8 @@ func TestNilObsIsSupported(t *testing.T) {
 	tr := checkedTrace(t, 72, 400)
 	set := sessions.Discover(tr)
 	var nilObs *obsv.Tracer
-	for _, shards := range []int{1, 3} {
-		if _, err := RunWithOptions(tr, set, Options{Shards: shards, Obs: nilObs}); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+	if _, err := RunWithOptions(tr, set, Options{Obs: nilObs}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"edb/internal/arch"
@@ -229,34 +228,14 @@ func checkedTrace(t *testing.T, seed int64, events int) *trace.Trace {
 	return tr
 }
 
-// sequential and sharded replay tr in memory through the one driver,
-// in one inline pass and over k session shards.
+// sequential replays tr in memory through RunWithOptions.
 func sequential(tr *trace.Trace, set *sessions.Set) (*Output, error) {
-	return RunWithOptions(tr, set, Options{Shards: 1})
-}
-
-func sharded(tr *trace.Trace, set *sessions.Set, k int) (*Output, error) {
-	return RunWithOptions(tr, set, Options{Shards: k})
-}
-
-// shardCounts returns the shard counts the differential suite must
-// prove equivalent: the fixed set {1, 2, 3, 8} plus NumCPU.
-func shardCounts() []int {
-	ks := []int{1, 2, 3, 8, runtime.NumCPU()}
-	seen := make(map[int]bool)
-	var out []int
-	for _, k := range ks {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	return out
+	return RunWithOptions(tr, set, Options{})
 }
 
 // TestOnePassMatchesNaiveOracle is the central correctness property of
-// phase 2: for random traces, the auto-selected simulator's counting
-// variables equal a per-session naive replay, for every session.
+// phase 2: for random traces, the simulator's counting variables equal
+// a per-session naive replay, for every session.
 func TestOnePassMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		tr := checkedTrace(t, seed, 1500)
@@ -351,12 +330,10 @@ func reinstallTrace(t *testing.T) *trace.Trace {
 }
 
 // TestDifferentialSerialShardedNaive is the differential harness for
-// the sharded engine and both front-ends: on randomized traces of
-// varying sizes and on reinstallTrace, the Sequential replay, the
-// Sharded replay at every tested shard count, the streamed replay of
-// the trace's v3 bytes at every tested shard count, and the naive
-// per-session oracle must agree exactly — counting variables, total
-// writes, and header metadata.
+// both front-ends: on randomized traces of varying sizes and on
+// reinstallTrace, the in-memory replay, the streamed replay of the
+// trace's v3 bytes, and the naive per-session oracle must agree
+// exactly — counting variables, total writes, and header metadata.
 func TestDifferentialSerialShardedNaive(t *testing.T) {
 	cases := []struct {
 		seed   int64
@@ -389,36 +366,22 @@ func TestDifferentialSerialShardedNaive(t *testing.T) {
 					in.label, set.Sessions[i].Label(), seq.PerSession[i], want)
 			}
 		}
-		// Sequential ≡ Sharded ≡ Streamed, for every shard count.
-		src := v3Source(t, tr, 64)
-		for _, k := range shardCounts() {
-			sh, err := sharded(tr, set, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := streamed(src, set, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, got := range []struct {
-				engine string
-				out    *Output
-			}{{"sharded", sh}, {"streamed", st}} {
-				out := got.out
-				if out.Program != seq.Program || out.BaseCycles != seq.BaseCycles ||
-					out.TotalWrites != seq.TotalWrites || out.Set != seq.Set {
-					t.Errorf("%s K=%d %s: header mismatch: %+v vs %+v", in.label, k, got.engine, out, seq)
-				}
-				if len(out.PerSession) != len(seq.PerSession) {
-					t.Fatalf("%s K=%d %s: %d sessions, want %d",
-						in.label, k, got.engine, len(out.PerSession), len(seq.PerSession))
-				}
-				for i := range seq.PerSession {
-					if out.PerSession[i] != seq.PerSession[i] {
-						t.Errorf("%s K=%d session %s:\n  %-10s %+v\n  sequential %+v",
-							in.label, k, set.Sessions[i].Label(), got.engine, out.PerSession[i], seq.PerSession[i])
-					}
-				}
+		// Sequential ≡ Streamed.
+		out, err := streamed(v3Source(t, tr, 64), set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Program != seq.Program || out.BaseCycles != seq.BaseCycles ||
+			out.TotalWrites != seq.TotalWrites || out.Set != seq.Set {
+			t.Errorf("%s streamed: header mismatch: %+v vs %+v", in.label, out, seq)
+		}
+		if len(out.PerSession) != len(seq.PerSession) {
+			t.Fatalf("%s streamed: %d sessions, want %d", in.label, len(out.PerSession), len(seq.PerSession))
+		}
+		for i := range seq.PerSession {
+			if out.PerSession[i] != seq.PerSession[i] {
+				t.Errorf("%s session %s:\n  streamed   %+v\n  sequential %+v",
+					in.label, set.Sessions[i].Label(), out.PerSession[i], seq.PerSession[i])
 			}
 		}
 	}
@@ -446,33 +409,16 @@ func TestRandomTraceStraddlesPages(t *testing.T) {
 	}
 }
 
-// TestShardedDegenerate covers the clamping edges: more shards than
-// sessions, zero/negative shard counts, and an empty session set.
+// TestShardedDegenerate covers the degenerate empty session set.
 func TestShardedDegenerate(t *testing.T) {
 	tr := checkedTrace(t, 3, 400)
-	set := sessions.Discover(tr)
-	seq, err := sequential(tr, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{-1, 0, len(set.Sessions) + 50, 10_000} {
-		sh, err := sharded(tr, set, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range seq.PerSession {
-			if sh.PerSession[i] != seq.PerSession[i] {
-				t.Fatalf("K=%d session %d: %+v != %+v", k, i, sh.PerSession[i], seq.PerSession[i])
-			}
-		}
-	}
 	empty := sessions.NewSet(nil, tr.Objects.Len())
-	sh, err := sharded(tr, empty, 4)
+	out, err := sequential(tr, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.PerSession) != 0 || sh.TotalWrites == 0 {
-		t.Errorf("empty set: PerSession=%d TotalWrites=%d", len(sh.PerSession), sh.TotalWrites)
+	if len(out.PerSession) != 0 || out.TotalWrites == 0 {
+		t.Errorf("empty set: PerSession=%d TotalWrites=%d", len(out.PerSession), out.TotalWrites)
 	}
 }
 
@@ -482,10 +428,7 @@ func TestShardedRejectsBadTrace(t *testing.T) {
 	tr := checkedTrace(t, 2, 200)
 	tr.Events = append(tr.Events, trace.Event{Kind: trace.EventKind(77)})
 	set := sessions.Discover(tr)
-	if _, err := sharded(tr, set, 2); err == nil {
-		t.Error("bad event kind should fail")
-	}
 	if _, err := sequential(tr, set); err == nil {
-		t.Error("bad event kind should fail sequentially too")
+		t.Error("bad event kind should fail")
 	}
 }

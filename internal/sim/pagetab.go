@@ -1,7 +1,7 @@
 package sim
 
-// pageTab is one shard's page accounting for one page size: for every
-// (dense page, session) pair a placement the shard replayed covers, the
+// pageTab is one replay's page accounting for one page size: for every
+// (dense page, session) pair a placement the replay met covers, the
 // session's live monitor count on the page. Both front-ends drive it
 // the same way; they differ only in how they number pages and
 // placements.
@@ -10,8 +10,8 @@ package sim
 // remove event has one, and an object's events almost always reuse it
 // (a local's frame slot, a heap block's address). The table keeps one
 // slot list per placement — the entry index of every (page, member
-// session) pair the placement covers, built the first time the shard
-// replays it — so install and remove walk the list with no search.
+// session) pair the placement covers, built the first time the replay
+// meets it — so install and remove walk the list with no search.
 // Within one list pages and members are distinct, so each entry
 // appears at most once.
 //
@@ -39,7 +39,7 @@ package sim
 type pageTab struct {
 	wtotal []uint64    // by dense page: cumulative write counter
 	ents   []pageEntry // from 1: one per (dense page, session) ever listed
-	chain  []int32     // by session − lo: the session's newest entry, 0 none
+	chain  []int32     // by session: the session's newest entry, 0 none
 	lists  []slotList  // by placement id
 	slots  []int32     // from 1: entry indexes, one list after another
 	built  int32       // slot lists built
@@ -49,7 +49,7 @@ type pageTab struct {
 // monitor count and, while the count is non-zero, the page's wtotal at
 // the instant the count left zero (the interval-credit baseline).
 type pageEntry struct {
-	sess  int32 // session index − lo: the session's slot in per
+	sess  int32 // session index: the session's slot in per
 	page  int32
 	count int32
 	next  int32 // the session's next older entry, 0 ends the chain
@@ -57,21 +57,21 @@ type pageEntry struct {
 }
 
 // slotList locates one placement's slots: slots[off : off+n]. off 0
-// means the shard has not replayed the placement yet.
+// means the replay has not met the placement yet.
 type slotList struct{ off, n int32 }
 
 // init sizes the table for nPages dense pages, nPlacements placements
-// and the sessions [lo, hi), with room for the slots the shard expects
+// and nSessions sessions, with room for the slots the replay expects
 // its lists to hold. An entry is created through a slot, and a session
 // touches few pages, so the entries get the smaller of the slot count
 // and one and a half per session. Streamed replay starts with no pages
 // and the placements it expects, and grows both as they arrive
 // (addPage, addPlacement); capacity only decides how often a slice
 // grows.
-func (t *pageTab) init(nPages, nPlacements, lo, hi int32, slots int) {
+func (t *pageTab) init(nPages, nPlacements, nSessions int32, slots int) {
 	t.wtotal = make([]uint64, nPages)
-	t.ents = make([]pageEntry, 1, 1+min(slots, int(hi-lo)*3/2))
-	t.chain = make([]int32, hi-lo)
+	t.ents = make([]pageEntry, 1, 1+min(slots, int(nSessions)*3/2))
+	t.chain = make([]int32, nSessions)
 	t.lists = make([]slotList, nPlacements)
 	t.slots = make([]int32, 1, 1+slots)
 }
@@ -92,33 +92,33 @@ func (t *pageTab) addPlacement(p int32) {
 // isBuilt reports whether placement p's slot list exists.
 func (t *pageTab) isBuilt(p int32) bool { return t.lists[p].off != 0 }
 
-// build makes placement p's slot list over the member sessions
-// (ascending, within [lo, hi)) and the dense pages it spans, creating
-// the entries of pairs the shard has not seen before. Call once per
+// build makes placement p's slot list over the member sessions and the
+// dense pages it spans, creating the entries of pairs the replay has
+// not seen before. Call once per
 // placement; an empty member list builds an empty list.
-func (t *pageTab) build(p int32, members, pages []int32, lo int32) {
+func (t *pageTab) build(p int32, members, pages []int32) {
 	off := int32(len(t.slots))
 	for _, pg := range pages {
 		for _, s := range members {
-			t.slots = append(t.slots, t.entry(pg, s-lo))
+			t.slots = append(t.slots, t.entry(pg, s))
 		}
 	}
 	t.lists[p] = slotList{off: off, n: int32(len(t.slots)) - off}
 	t.built++
 }
 
-// entry returns the index of the entry for (page pg, session lo+si),
+// entry returns the index of the entry for (page pg, session s),
 // walking the session's chain and appending a zero-count entry when the
 // session has never been listed on the page.
-func (t *pageTab) entry(pg, si int32) int32 {
-	for k := t.chain[si]; k != 0; k = t.ents[k].next {
+func (t *pageTab) entry(pg, s int32) int32 {
+	for k := t.chain[s]; k != 0; k = t.ents[k].next {
 		if t.ents[k].page == pg {
 			return k
 		}
 	}
 	k := int32(len(t.ents))
-	t.ents = append(t.ents, pageEntry{sess: si, page: pg, next: t.chain[si]})
-	t.chain[si] = k
+	t.ents = append(t.ents, pageEntry{sess: s, page: pg, next: t.chain[s]})
+	t.chain[s] = k
 	return k
 }
 

@@ -11,9 +11,9 @@ import (
 // Prepass is the immutable, session-independent index a replay engine
 // consumes instead of hashing raw addresses per event. It is computed
 // once per trace (sim.Prepare) and can then be shared — concurrently
-// and across runs — by any number of replay engines, shard workers,
-// and timing-profile sweeps (internal/exp caches it next to the trace
-// in the per-(benchmark, scale) artifact cache).
+// and across runs — by any number of replays and timing-profile
+// sweeps (internal/exp caches it next to the trace in the
+// per-(benchmark, scale) artifact cache).
 //
 // Three indexes are precomputed:
 //
@@ -21,7 +21,7 @@ import (
 //     resolved to each object (a write resolves to the object whose
 //     live monitor it hits). Resolution is the only part of a replay
 //     that needs the global word → object map, and none of it depends
-//     on a session, so a shard credits every member session once per
+//     on a session, so a replay credits every member session once per
 //     object instead of once per event and never touches word state.
 //
 //   - A dense page remap per simulated page size: the set of pages ever

@@ -65,9 +65,8 @@ func checkInvariants(t *testing.T, label string, out *Output, balanced bool) {
 }
 
 // engineOutputs replays tr/set on every engine configuration the suite
-// covers — Sequential, and Sharded at every tested shard count both
-// with a self-computed and with a shared precomputed prepass — and
-// returns the labelled outputs.
+// covers — with a self-computed and with a shared precomputed prepass —
+// and returns the labelled outputs.
 func engineOutputs(t *testing.T, tr *trace.Trace, set *sessions.Set) map[string]*Output {
 	t.Helper()
 	pp, err := Prepare(tr)
@@ -80,18 +79,11 @@ func engineOutputs(t *testing.T, tr *trace.Trace, set *sessions.Set) map[string]
 		t.Fatal(err)
 	}
 	outs["sequential"] = seq
-	for _, k := range shardCounts() {
-		sh, err := sharded(tr, set, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[fmt.Sprintf("sharded-%d", k)] = sh
-		pre, err := RunWithOptions(tr, set, Options{Shards: k, Prepass: pp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[fmt.Sprintf("sharded-%d-prepassed", k)] = pre
+	pre, err := RunWithOptions(tr, set, Options{Prepass: pp})
+	if err != nil {
+		t.Fatal(err)
 	}
+	outs["prepassed"] = pre
 	return outs
 }
 
@@ -135,9 +127,7 @@ func TestPropertyWorkloadTraces(t *testing.T) {
 // TestPropertyPageTabBalance is the white-box half: after replaying a
 // balanced trace, the page tables themselves must be balanced — no page
 // retains an active entry (everything protected was unprotected) and
-// the interval-credit accounting has no uncredited write exposure. It
-// also exercises a strict sub-range replay (the sharded worker's
-// MembershipRange path) directly.
+// the interval-credit accounting has no uncredited write exposure.
 func TestPropertyPageTabBalance(t *testing.T) {
 	for seed := int64(21); seed <= 26; seed++ {
 		tr := checkedTrace(t, seed, 1200)
@@ -146,62 +136,15 @@ func TestPropertyPageTabBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := int32(len(set.Sessions))
-		ranges := [][2]int32{{0, n}}
-		if n >= 3 {
-			ranges = append(ranges, [2]int32{n / 3, 2 * n / 3}) // strict sub-range
-		}
-		for _, r := range ranges {
-			lo, hi := r[0], r[1]
-			per := make([]Counting, hi-lo)
-			var pages [2]pageTab
-			replayRange(set, pp, lo, hi, per, &pages)
-			for psi := range pages {
-				if live := pages[psi].livePages(); live != 0 {
-					t.Errorf("seed %d range [%d,%d) psi=%d: %d live pages after balanced trace",
-						seed, lo, hi, psi, live)
-				}
-				if pend := pages[psi].pendingCredit(); pend != 0 {
-					t.Errorf("seed %d range [%d,%d) psi=%d: %d uncredited writes after balanced trace",
-						seed, lo, hi, psi, pend)
-				}
+		per := make([]Counting, len(set.Sessions))
+		var pages [2]pageTab
+		replayPrepass(set, pp, per, &pages)
+		for psi := range pages {
+			if live := pages[psi].livePages(); live != 0 {
+				t.Errorf("seed %d psi=%d: %d live pages after balanced trace", seed, psi, live)
 			}
-		}
-	}
-}
-
-// TestPropertyShardUnion pins the partition property the sharded engine
-// rests on: the per-shard sub-range replays are a disjoint cover of the
-// sequential replay — concatenating the shard outputs reproduces the
-// full PerSession vector exactly, for every tested shard count.
-func TestPropertyShardUnion(t *testing.T) {
-	tr := checkedTrace(t, 31, 1500)
-	set := sessions.Discover(tr)
-	pp, err := Prepare(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := sequential(tr, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := int32(len(set.Sessions))
-	for _, k := range shardCounts() {
-		got := make([]Counting, n)
-		for s := 0; s < k; s++ {
-			lo := int32(s) * n / int32(k)
-			hi := int32(s+1) * n / int32(k)
-			if lo == hi {
-				continue
-			}
-			var pages [2]pageTab
-			replayRange(set, pp, lo, hi, got[lo:hi], &pages)
-		}
-		finishCounters(got, pp.TotalWrites)
-		for i := range got {
-			if got[i] != seq.PerSession[i] {
-				t.Errorf("K=%d session %s: shard-union %+v != sequential %+v",
-					k, set.Sessions[i].Label(), got[i], seq.PerSession[i])
+			if pend := pages[psi].pendingCredit(); pend != 0 {
+				t.Errorf("seed %d psi=%d: %d uncredited writes after balanced trace", seed, psi, pend)
 			}
 		}
 	}

@@ -29,37 +29,33 @@
 //     a search, and a replay allocates a handful of slices in total.
 //
 // RunWithOptions is the only entry point, and one driver runs every
-// replay: it injects the replay fault, clamps the shard count, builds
-// the Output, opens the engine span, fans the session set out over K
-// contiguous index ranges and derives the closed-form counters
-// (finishCounters). Each shard owns a disjoint subslice of PerSession
-// and its own page tables, so no locks are needed and the merge is a
-// no-op; K=1 runs inline on the calling goroutine.
+// replay, once, on the calling goroutine: it injects the replay fault,
+// builds the Output, opens the engine span, runs one front-end over
+// the whole session set and derives the closed-form counters
+// (finishCounters). Parallelism lives above replay — exp.Config.Workers
+// replays benchmarks side by side and edb-serve runs requests side by
+// side — so the package starts no goroutines.
 //
-// How a shard addresses the trace depends on the input, and exactly two
-// front-ends exist:
+// How a replay addresses the trace depends on the input, and exactly
+// two front-ends exist:
 //
 //   - A materialised trace is replayed through its prepass (Prepare):
 //     writes are resolved and counted per object, touched pages are
 //     remapped to dense indexes and installs/removes numbered by
-//     placement once, so every shard scans two shared int32 columns
-//     (replayRange).
-//   - A v3 StreamSource is decoded once, block by block, and each shard
-//     keeps incremental member-only word, page and placement tables
-//     (stream.go). Blocks whose writes provably touch no monitored page
-//     are skipped.
+//     placement once, so the replay scans two int32 columns
+//     (replayPrepass).
+//   - A v3 StreamSource is decoded once, block by block, and the
+//     worker keeps incremental member-only word, page and placement
+//     tables (stream.go). Blocks whose writes provably touch no
+//     monitored page are skipped.
 //
 // Both front-ends drive the same pageTab accounting, so their outputs
 // are bit-identical (and the differential oracle suite, oracle_test.go,
-// re-proves it against a naive per-session replay for every shard
-// count).
+// re-proves it against a naive per-session replay).
 package sim
 
 import (
 	"fmt"
-	"runtime"
-	"strconv"
-	"sync"
 	"time"
 
 	"edb/internal/arch"
@@ -100,56 +96,41 @@ type Output struct {
 	Set        *sessions.Set
 }
 
-// ShardThreshold is the session count below which automatic shard
-// selection replays in one pass: with few sessions the per-shard
-// fan-out overhead (one full event-stream scan per worker) outweighs
-// the parallelism.
-const ShardThreshold = 64
-
 // Options parameterises a replay beyond the trace and session set.
 // Callers pick in-memory vs streamed replay by data: pass a
 // materialised *trace.Trace to replay in memory, or set Source (with a
 // nil trace) to stream a v3 file block by block.
 type Options struct {
-	// Shards is the number of contiguous session ranges replayed
-	// concurrently, clamped to the session count. 0 selects
-	// automatically: for in-memory replay GOMAXPROCS shards when the
-	// host has spare cores and the session population is at least
-	// ShardThreshold, one otherwise; for streamed replay one. 1 (or
-	// any negative value) forces one inline pass.
-	Shards int
 	// Source selects streamed replay over a v3 trace: the trace
-	// argument must be nil, and blocks are decoded once and fanned out
-	// to all shards through a bounded pipeline (stream.go). Prepass
-	// does not apply to streamed replay.
+	// argument must be nil, and blocks are decoded once, in one pass
+	// (stream.go). Prepass does not apply to streamed replay.
 	Source trace.StreamSource
 	// Obs, when non-nil, receives replay spans: the trace prepass
 	// (when not supplied via Prepass), the engine span with an
-	// events-per-second attribute, one span per shard (with its
-	// session index range, and for streamed replay its skipped-block
-	// count) and the streamed decode pass, so a Perfetto timeline
-	// shows the replay fan-out and throughput. Nil disables
-	// observation at zero cost; results are bit-identical either way
-	// (observation never feeds back).
+	// events-per-second attribute and the size of its page tables, and
+	// for streamed replay the decode pass with its skipped-block count,
+	// so a Perfetto timeline shows the replay and its throughput. Nil
+	// disables observation at zero cost; results are bit-identical
+	// either way (observation never feeds back).
 	Obs *obsv.Tracer
 	// Prepass supplies a precomputed trace prepass (Prepare). It must
 	// have been built from exactly this trace; replays under different
-	// session sets, shard counts, and timing profiles can all share
-	// one prepass (internal/exp caches it with the trace). Nil makes
-	// the engine compute it on entry.
+	// session sets and timing profiles can all share one prepass
+	// (internal/exp caches it with the trace). Nil makes the engine
+	// compute it on entry.
 	Prepass *Prepass
 }
 
 // RunWithOptions replays the trace — or, with Options.Source, the
-// streamed v3 trace — against the session set. Every shard count and
-// both sources produce bit-identical output.
+// streamed v3 trace — against the session set. Both sources produce
+// bit-identical output.
 //
 // Replay entry is an injection point (fault.SiteSimReplay, keyed by
 // program name); with no active chaos plan the check is one atomic
 // load per replay, never per event.
 func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, error) {
 	out := &Output{Set: set}
-	r := replay{set: set, out: out, obs: o.Obs}
+	var s *trace.Stream
 	events := 0
 	switch {
 	case o.Source != nil && tr != nil:
@@ -157,12 +138,11 @@ func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, err
 	case o.Source != nil && o.Prepass != nil:
 		return nil, fmt.Errorf("sim: a prepass cannot drive a streamed replay")
 	case o.Source != nil:
-		s, err := o.Source.Open()
-		if err != nil {
+		var err error
+		if s, err = o.Source.Open(); err != nil {
 			return nil, fmt.Errorf("sim: opening trace stream: %w", err)
 		}
 		defer s.Close()
-		r.s = s
 		out.Program, out.BaseCycles, out.TotalWrites = s.Program, s.BaseCycles, s.NumWrites
 		events = int(s.NumEvents)
 	case tr == nil:
@@ -176,46 +156,42 @@ func RunWithOptions(tr *trace.Trace, set *sessions.Set, o Options) (*Output, err
 	}
 
 	n := len(set.Sessions)
-	shards := o.Shards
-	if w := runtime.GOMAXPROCS(0); shards == 0 && tr != nil && w > 1 && n >= ShardThreshold {
-		shards = w
-	}
-	shards = max(1, min(shards, n))
+	var sp obsv.Span
+	var start time.Time
 	if o.Obs != nil {
 		name := "replay-sequential"
-		if r.s != nil {
+		if s != nil {
 			name = "replay-stream"
-		} else if shards > 1 {
-			name = "replay-sharded"
 		}
-		sp := o.Obs.StartSpan(name)
+		sp = o.Obs.StartSpan(name)
 		sp.Attr("program", out.Program)
 		sp.Int("sessions", int64(n))
 		sp.Int("events", int64(events))
-		sp.Int("shards", int64(shards))
-		start := time.Now()
-		defer func() {
-			if secs := time.Since(start).Seconds(); secs > 0 {
-				sp.Float("events_per_sec", float64(events)/secs)
-			}
-			sp.End()
-		}()
+		start = time.Now()
 	}
+	defer sp.End()
+	var pp *Prepass
 	if tr != nil {
-		pp, err := ensurePrepass(tr, o.Prepass, o.Obs)
-		if err != nil {
+		var err error
+		if pp, err = ensurePrepass(tr, o.Prepass, o.Obs); err != nil {
 			return nil, err
 		}
-		r.pp, out.TotalWrites = pp, pp.TotalWrites
+		out.TotalWrites = pp.TotalWrites
 	}
 
 	out.PerSession = make([]Counting, n)
 	if n > 0 {
-		if r.s != nil && shards > 1 {
-			r.feeds, r.free = newPipeline(shards)
-		}
-		if err := r.fanOut(shards); err != nil {
+		var pages [2]pageTab
+		if s == nil {
+			replayPrepass(set, pp, out.PerSession, &pages)
+		} else if err := replayStream(s, set, out.PerSession, &pages, o.Obs); err != nil {
 			return nil, fmt.Errorf("sim: streaming %s: %w", out.Program, err)
+		}
+		spanTables(&sp, &pages)
+	}
+	if o.Obs != nil {
+		if secs := time.Since(start).Seconds(); secs > 0 {
+			sp.Float("events_per_sec", float64(events)/secs)
 		}
 	}
 	finishCounters(out.PerSession, out.TotalWrites)
@@ -240,81 +216,6 @@ func ensurePrepass(tr *trace.Trace, pp *Prepass, obs *obsv.Tracer) (*Prepass, er
 		defer sp.End()
 	}
 	return Prepare(tr)
-}
-
-// replay is one RunWithOptions call as its shards see it: the session
-// set, the output whose PerSession they fill, and one of the two
-// front-ends. It is passed by value, so the inline one-shard pass
-// allocates nothing beyond the front-end's own tables.
-type replay struct {
-	set *sessions.Set
-	out *Output
-	obs *obsv.Tracer
-	// The in-memory front-end: the trace's prepass.
-	pp *Prepass
-	// The streamed front-end: the open stream and, with several
-	// shards, the decoder's per-shard feeds and free block list.
-	s     *trace.Stream
-	feeds []chan *sharedBlock
-	free  chan *sharedBlock
-}
-
-// fanOut replays every shard's contiguous session range — the first
-// n%shards shards take one extra session — and returns the decode
-// error, if any. One shard runs inline on the calling goroutine; with
-// several, each runs on its own goroutine while the calling goroutine
-// runs the streamed decoder that feeds them.
-func (r replay) fanOut(shards int) error {
-	n := len(r.set.Sessions)
-	if shards == 1 {
-		return r.shard(0, 0, int32(n))
-	}
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for k := 0; k < shards; k++ {
-		lo, hi := int32(k*n/shards), int32((k+1)*n/shards)
-		go func() {
-			defer wg.Done()
-			r.shard(k, lo, hi)
-		}()
-	}
-	var err error
-	if r.s != nil {
-		err = r.decode(r.broadcast)
-		for _, f := range r.feeds {
-			close(f)
-		}
-	}
-	wg.Wait()
-	return err
-}
-
-// shard replays sessions [lo, hi) into their slice of PerSession, under
-// a per-shard span when observed.
-func (r replay) shard(k int, lo, hi int32) error {
-	var sp obsv.Span
-	if r.obs != nil {
-		name := "replay-shard"
-		if r.s != nil {
-			name = "replay-stream-shard"
-		}
-		sp = r.obs.StartSpan(name)
-		sp.Attr("program", r.out.Program)
-		sp.Attr("sessions", strconv.Itoa(int(lo))+".."+strconv.Itoa(int(hi)))
-	}
-	per := r.out.PerSession[lo:hi]
-	if r.s == nil {
-		var pages [2]pageTab
-		replayRange(r.set, r.pp, lo, hi, per, &pages)
-		spanTables(&sp, &pages)
-		sp.End()
-		return nil
-	}
-	w, skipped, err := r.streamShard(k, lo, hi, per)
-	sp.Int("skipped_blocks", int64(skipped))
-	spanTables(&sp, &w.pages)
-	sp.End()
-	return err
 }
 
 // finishCounters derives the counters that fall out of closed-form
@@ -346,26 +247,24 @@ func finishCounters(per []Counting, totalWrites uint64) {
 	}
 }
 
-// replayRange is the in-memory front-end's shard: it replays the
-// shared prepass columns for the sessions in [lo, hi), accumulating
-// into per (the PerSession subslice for that range; per[0] is session
-// lo) and the caller-owned page tables. The loop reads two int32
-// columns per event and performs no hashing, no search and no
+// replayPrepass is the in-memory front-end: it replays the prepass
+// columns for every session of set, accumulating into per (parallel to
+// set.Sessions) and the caller-owned page tables. The loop reads two
+// int32 columns per event and performs no hashing, no search and no
 // membership lookup: an install or remove walks its placement's slot
-// lists (built the first time the shard meets the placement), a write
+// lists (built the first time the replay meets the placement), a write
 // bumps one counter per page size. The per-object event counts are
 // credited to the member sessions once, at the end.
-func replayRange(set *sessions.Set, pp *Prepass, lo, hi int32, per []Counting, pages *[2]pageTab) {
-	r := newSessionRange(set, lo, hi)
+func replayPrepass(set *sessions.Set, pp *Prepass, per []Counting, pages *[2]pageTab) {
 	var slots [2]int
 	for i := range pp.placements {
 		pl := &pp.placements[i]
-		m := len(r.members(pl.obj))
+		m := len(set.Membership(pl.obj))
 		slots[0] += m * int(pl.n[0])
 		slots[1] += m * int(pl.n[1])
 	}
 	for psi := range pages {
-		pages[psi].init(pp.NumPages[psi], int32(len(pp.placements)), lo, hi, slots[psi])
+		pages[psi].init(pp.NumPages[psi], int32(len(pp.placements)), int32(len(per)), slots[psi])
 	}
 	var buf [16]int32
 	ev1 := pp.evPage[1]
@@ -374,7 +273,7 @@ func replayRange(set *sessions.Set, pp *Prepass, lo, hi int32, per []Counting, p
 		switch kind := ev1[i]; kind {
 		case evInstall, evRemove:
 			if !pages[0].isBuilt(p) {
-				r.buildPlacement(pages, p, &pp.placements[p], buf[:0])
+				buildPlacement(set, pages, p, &pp.placements[p], buf[:0])
 			}
 			if kind == evInstall {
 				pages[0].install(p, per, 0)
@@ -401,67 +300,43 @@ func replayRange(set *sessions.Set, pp *Prepass, lo, hi int32, per []Counting, p
 	for psi := range pages {
 		pages[psi].settle(per, psi)
 	}
-	for obj, c := range pp.objs {
-		if c == (objCount{}) {
-			continue
-		}
-		for _, s := range r.members(objects.ID(obj)) {
-			per[s-lo].Installs += c.installs
-			per[s-lo].Removes += c.removes
-			per[s-lo].Hits += c.hits
-		}
-	}
+	creditObjects(set, pp.objs, per)
 }
 
 // buildPlacement makes prepass placement p's slot list in both page
 // tables, listing its consecutive dense pages in buf.
-func (r *sessionRange) buildPlacement(pages *[2]pageTab, p int32, pl *placement, buf []int32) {
-	members := r.members(pl.obj)
+func buildPlacement(set *sessions.Set, pages *[2]pageTab, p int32, pl *placement, buf []int32) {
+	members := set.Membership(pl.obj)
 	for psi := range pages {
 		ps := buf[:0]
 		for k := int32(0); k < pl.n[psi]; k++ {
 			ps = append(ps, pl.page[psi]+k)
 		}
-		pages[psi].build(p, members, ps, r.lo)
+		pages[psi].build(p, members, ps)
 	}
 }
 
-// sessionRange is the contiguous session-index range [lo, hi) one
-// shard owns — the whole set at the streamed decoder — with membership
-// lookups trimmed to it.
-type sessionRange struct {
-	set    *sessions.Set
-	lo, hi int32
-	full   bool
-}
-
-func newSessionRange(set *sessions.Set, lo, hi int32) sessionRange {
-	return sessionRange{set: set, lo: lo, hi: hi, full: lo == 0 && hi == int32(len(set.Sessions))}
-}
-
-// members returns the sessions of the range that contain obj.
-func (r *sessionRange) members(obj objects.ID) []int32 {
-	if r.full {
-		return r.set.Membership(obj)
+// creditObjects credits each object's counted installs, removes and
+// hits to every session containing it: once per object, not once per
+// event.
+func creditObjects(set *sessions.Set, objs []objCount, per []Counting) {
+	for obj, c := range objs {
+		if c == (objCount{}) {
+			continue
+		}
+		for _, s := range set.Membership(objects.ID(obj)) {
+			per[s].Installs += c.installs
+			per[s].Removes += c.removes
+			per[s].Hits += c.hits
+		}
 	}
-	return r.set.MembershipRange(obj, r.lo, r.hi)
 }
 
-// memberCount is the number of (object, session) memberships of the
-// range's sessions, from which a streamed shard sizes its slot lists.
-func (r *sessionRange) memberCount() int {
-	n := 0
-	for i := r.lo; i < r.hi; i++ {
-		n += len(r.set.Sessions[i].Objects)
-	}
-	return n
-}
-
-// tableKeys name the replay-shard span attributes that report each
-// page size's table: its placements (slot lists built) and entries.
+// tableKeys name the engine span attributes that report each page
+// size's table: its placements (slot lists built) and entries.
 var tableKeys = [2][2]string{{"placements_4k", "entries_4k"}, {"placements_8k", "entries_8k"}}
 
-// spanTables reports the size of a shard's page tables on its span.
+// spanTables reports the size of a replay's page tables on its span.
 func spanTables(sp *obsv.Span, pages *[2]pageTab) {
 	for psi := range pages {
 		sp.Int(tableKeys[psi][0], int64(pages[psi].built))

@@ -4,24 +4,18 @@ package sim
 // format v3), block by block, never holding []trace.Event.
 //
 // The source is opened once and read by a single decode pass
-// (replay.decode). With one shard the decode loop calls that shard's
-// worker directly; with several, each decoded block is copied into a
-// refcounted shared buffer drawn from a small free list and fanned out
-// to every shard's bounded channel, and the last shard to finish a
-// block returns its buffer — so at most pipelineDepth blocks are ever
-// in flight and the memory ceiling is independent of the file.
-//
-// A shard has no prepass to lean on, so its worker keeps incremental
-// word-ownership, dense page and placement tables, for member objects
-// only.
+// (replayStream) that hands each block straight to the one worker, so
+// the memory ceiling is a block's columns and the worker's tables,
+// independent of the file. The worker has no prepass to lean on, so it
+// keeps incremental word-ownership, dense page and placement tables,
+// for member objects only.
 //
 // Block skip (memberPages) elides the write columns of any block whose
 // written-page summary cannot intersect the pages a monitored session
-// lives on. It fires at two levels: the decoder tests the full session
-// set and skips DecodeWrites, and with several shards each worker tests
-// its own narrower set and skips replaying the writes. (Skipping whole
-// blocks would never fire on real workloads: locals churn on every
-// call, so every block holds install/remove events.)
+// lives on: the decoder skips DecodeWrites and the worker replays only
+// the block's installs and removes. (Skipping whole blocks would never
+// fire on real workloads: locals churn on every call, so every block
+// holds install/remove events.)
 //
 // Why skipping writes is sound, bit for bit (the full argument is
 // DESIGN.md §12; the property suite re-proves it empirically):
@@ -51,10 +45,6 @@ package sim
 //     monitored 8 KiB page is never skipped and its 8 KiB wtotal bump
 //     is preserved.
 //
-//   - Two levels: a shard's sessions are a subset of the full set, so
-//     its member pages are a subset of the decoder's, and a block the
-//     decoder skips is one every shard's own test skips too.
-//
 // The summary itself is conservative by construction (writer
 // summarises the actual write pages; bloom filters only
 // over-approximate) and the decoder rejects any CRC-valid summary a
@@ -64,116 +54,50 @@ package sim
 // trace.Stream; only decode and replay work is elided.
 
 import (
-	"sync/atomic"
-
 	"edb/internal/arch"
 	"edb/internal/objects"
+	"edb/internal/obsv"
 	"edb/internal/sessions"
 	"edb/internal/trace"
 )
 
-// pipelineDepth is the free-list size: the number of decoded blocks
-// that may be in flight at once. Deep enough to keep workers busy
-// while the decoder reads ahead, shallow enough that peak memory stays
-// a few block-buffers regardless of trace size.
-const pipelineDepth = 8
-
-// decode is the single decode pass over the stream: it reads and
-// CRC-checks every block once, decodes its write columns unless the
-// full session set's member pages rule them out, and hands the block to
-// deliver.
-func (r replay) decode(deliver func(*trace.BlockSummary, *trace.Block)) error {
-	sp := r.obs.StartSpan("replay-stream-decode")
+// replayStream is the streamed front-end: one pass over s that reads
+// and CRC-checks every block, decodes its write columns unless the
+// member pages rule them out, and replays it for every session of set
+// into per (parallel to set.Sessions) and pages, the worker's page
+// tables. The decode pass gets a replay-stream-decode span when
+// observed.
+func replayStream(s *trace.Stream, set *sessions.Set, per []Counting, pages *[2]pageTab, obs *obsv.Tracer) error {
+	sp := obs.StartSpan("replay-stream-decode")
 	defer sp.End()
-	sp.Attr("program", r.out.Program)
-	sp.Int("blocks", int64(r.s.NumBlocks))
-	all := newSessionRange(r.set, 0, int32(len(r.set.Sessions)))
-	pages := newMemberPages()
+	sp.Attr("program", s.Program)
+	sp.Int("blocks", int64(s.NumBlocks))
+	w := newStreamWorker(set, per)
+	skip := newMemberPages()
 	skipped := 0
-	for r.s.Next() {
-		sum := r.s.Summary()
-		blk, err := r.s.DecodeIR()
+	for s.Next() {
+		sum := s.Summary()
+		blk, err := s.DecodeIR()
 		if err != nil {
 			return err
 		}
-		if pages.skips(sum, blk, &all) {
+		if skip.skips(sum, blk, set) {
 			skipped++
-		} else if err := r.s.DecodeWrites(); err != nil {
+			w.replayIROnly(blk)
+			continue
+		}
+		if err := s.DecodeWrites(); err != nil {
 			return err
 		}
-		deliver(sum, blk)
+		w.replayBlock(blk)
 	}
 	sp.Int("skipped_write_columns", int64(skipped))
-	return r.s.Err()
-}
-
-// streamShard replays the stream for sessions [lo, hi) and returns its
-// worker and the number of blocks whose writes it skipped. With one
-// shard it is the decode loop itself, calling its one worker directly
-// with no block copy; with several it drains the decoder's feed k.
-func (r replay) streamShard(k int, lo, hi int32, per []Counting) (w *streamWorker, skipped int, err error) {
-	w = newStreamWorker(r.set, lo, hi, per)
-	if r.feeds == nil {
-		err = r.decode(func(sum *trace.BlockSummary, blk *trace.Block) {
-			skipped += w.consume(sum, blk)
-		})
-	} else {
-		w.skip = newMemberPages()
-		for sb := range r.feeds[k] {
-			skipped += w.consume(&sb.sum, &sb.blk)
-			if sb.refs.Add(-1) == 0 {
-				r.free <- sb
-			}
-		}
+	if err := s.Err(); err != nil {
+		return err
 	}
 	w.settle()
-	return w, skipped, err
-}
-
-// sharedBlock is one decoded block fanned out to all shard workers.
-// refs counts workers still replaying it; the worker that drops it to
-// zero returns the block to the free list for reuse.
-type sharedBlock struct {
-	sum  trace.BlockSummary
-	blk  trace.Block
-	refs atomic.Int32
-}
-
-// newPipeline builds the decoder's bounded fan-out to shards workers:
-// one feed per shard and a free list of pipelineDepth block buffers.
-func newPipeline(shards int) (feeds []chan *sharedBlock, free chan *sharedBlock) {
-	free = make(chan *sharedBlock, pipelineDepth)
-	for i := 0; i < pipelineDepth; i++ {
-		free <- &sharedBlock{}
-	}
-	feeds = make([]chan *sharedBlock, shards)
-	for k := range feeds {
-		feeds[k] = make(chan *sharedBlock, pipelineDepth)
-	}
-	return feeds, free
-}
-
-// broadcast is the decoder's delivery with several shards: it copies
-// the block into a free shared buffer — the stream overwrites its own
-// on the next Next — and queues it on every shard's feed.
-func (r replay) broadcast(sum *trace.BlockSummary, blk *trace.Block) {
-	sb := <-r.free
-	sb.sum = *sum
-	b := &sb.blk
-	b.NEvents, b.NWrites = blk.NEvents, blk.NWrites
-	b.IsWrite = append(b.IsWrite[:0], blk.IsWrite...)
-	b.IRKind = append(b.IRKind[:0], blk.IRKind...)
-	b.IRObj = append(b.IRObj[:0], blk.IRObj...)
-	b.IRBA = append(b.IRBA[:0], blk.IRBA...)
-	b.IREA = append(b.IREA[:0], blk.IREA...)
-	b.WritesDecoded = blk.WritesDecoded
-	b.WrBA = append(b.WrBA[:0], blk.WrBA...)
-	b.WrEA = append(b.WrEA[:0], blk.WrEA...)
-	b.WrPC = append(b.WrPC[:0], blk.WrPC...)
-	sb.refs.Store(int32(len(r.feeds)))
-	for _, f := range r.feeds {
-		f <- sb
-	}
+	*pages = w.pages
+	return nil
 }
 
 // memberPages is the block-skip test: the monotone set of 4 KiB pages
@@ -191,14 +115,14 @@ func newMemberPages() *memberPages {
 }
 
 // skips adds the pages of the block's install/remove events whose
-// object has members in r — before deciding, so installs inside the
+// object has members in set — before deciding, so installs inside the
 // block are covered — and reports whether the block's writes provably
 // touch none of the set's pages. Iterating list (bounded by the pages
 // monitored objects ever touch) against the constant-time summary test
 // is cheap; the bloom cannot be enumerated in the other direction.
-func (m *memberPages) skips(sum *trace.BlockSummary, blk *trace.Block, r *sessionRange) bool {
+func (m *memberPages) skips(sum *trace.BlockSummary, blk *trace.Block, set *sessions.Set) bool {
 	for j := range blk.IRObj {
-		if len(r.members(blk.IRObj[j])) == 0 {
+		if len(set.Membership(blk.IRObj[j])) == 0 {
 			continue
 		}
 		first, last := arch.PagesSpanned(blk.IRBA[j], blk.IREA[j], arch.PageSize4K)
@@ -231,31 +155,30 @@ func (m *memberPages) add(pn uint32) {
 // hit for this worker's sessions, so tracking it would be dead work).
 type wordPage [wordsPerPage]objects.ID
 
-// streamWorker is one shard's replay state: the same pageTab machinery
-// as the in-memory front-end, with placements numbered as they arrive
-// and pages addressed through a raw-page → dense-index map grown as
-// member pages appear. The maps are read when a placement is first met
-// and on the write path; an install or remove finds its placement
-// through its object's chain and its word pages through the
+// streamWorker is the streamed replay state: the same pageTab
+// machinery as the in-memory front-end, with placements numbered as
+// they arrive and pages addressed through a raw-page → dense-index map
+// grown as member pages appear. The maps are read when a placement is
+// first met and on the write path; an install or remove finds its
+// placement through its object's chain and its word pages through the
 // placement.
 type streamWorker struct {
-	sessionRange
+	set     *sessions.Set
 	per     []Counting
 	pages   [2]pageTab
 	pageIdx [2]map[uint32]int32
 	words   map[uint32]*wordPage
 	// newest[obj] is obj's newest placement + 1, 0 before its first
-	// install or remove and -1 when no session of the range contains
-	// it.
+	// install or remove and -1 when no session contains it.
 	newest []int32
 	plc    []streamPlacement
 	// plcWords holds each placement's word pages, one run per
 	// placement, in span order.
 	plcWords []*wordPage
 	buf      []int32 // the dense pages of the placement being built
-	// skip is the worker's own block-skip test over its narrower
-	// range; nil for a single shard, whose range is the decoder's.
-	skip *memberPages
+	// objs counts each member object's installs, removes and hits, as
+	// the prepass does; settle credits them to the object's sessions.
+	objs []objCount
 
 	// Last-written-page cache: consecutive writes overwhelmingly land
 	// on the page of the previous write, so replayWrite caches that
@@ -268,76 +191,56 @@ type streamWorker struct {
 }
 
 // streamPlacement is one (object, 4 KiB page span) pair of the
-// worker's member objects and the installs and removes it has seen,
-// credited to the object's sessions at settle.
+// worker's member objects, reached through the object's chain.
 type streamPlacement struct {
-	obj               objects.ID
-	first, last       uint32 // 4 KiB pages spanned; first > last for an empty range
-	older             int32  // the object's previous placement + 1, 0 ends
-	words             int32  // the placement's run in plcWords
-	installs, removes uint64
+	first, last uint32 // 4 KiB pages spanned; first > last for an empty range
+	older       int32  // the object's previous placement + 1, 0 ends
+	words       int32  // the placement's run in plcWords
 }
 
-// newStreamWorker builds the replay state for sessions [lo, hi)
-// accumulating into per, without a skip test of its own.
-func newStreamWorker(set *sessions.Set, lo, hi int32, per []Counting) *streamWorker {
+// newStreamWorker builds the replay state for every session of set,
+// accumulating into per.
+func newStreamWorker(set *sessions.Set, per []Counting) *streamWorker {
 	w := &streamWorker{
-		sessionRange: newSessionRange(set, lo, hi),
-		per:          per,
-		pageIdx:      [2]map[uint32]int32{make(map[uint32]int32), make(map[uint32]int32)},
-		words:        make(map[uint32]*wordPage),
-		newest:       make([]int32, set.NumObjects()+1),
+		set:     set,
+		per:     per,
+		pageIdx: [2]map[uint32]int32{make(map[uint32]int32), make(map[uint32]int32)},
+		words:   make(map[uint32]*wordPage),
+		newest:  make([]int32, set.NumObjects()+1),
+		objs:    make([]objCount, set.NumObjects()+1),
 	}
 	// An object mostly has one placement on one page: expect one
 	// placement per member object and one slot per membership, plus an
 	// eighth for objects that move or straddle a page.
-	objs := 0
+	memberObjs := 0
 	for id := 1; id < len(w.newest); id++ {
-		if len(w.members(objects.ID(id))) > 0 {
-			objs++
+		if len(set.Membership(objects.ID(id))) > 0 {
+			memberObjs++
 		}
 	}
-	slots := w.memberCount()
+	slots := len(set.Members)
 	slots += slots / 8
-	w.plc = make([]streamPlacement, 0, objs)
-	w.plcWords = make([]*wordPage, 0, objs)
+	w.plc = make([]streamPlacement, 0, memberObjs)
+	w.plcWords = make([]*wordPage, 0, memberObjs)
 	for psi := range w.pages {
-		w.pages[psi].init(0, int32(objs), lo, hi, slots)
+		w.pages[psi].init(0, int32(memberObjs), int32(len(per)), slots)
 	}
 	return w
 }
 
-// consume replays one decoded block for the worker's sessions and
-// returns 1 when its writes were skipped — by the worker's own test or
-// already by the decoder's.
-func (w *streamWorker) consume(sum *trace.BlockSummary, blk *trace.Block) int {
-	if (w.skip != nil && w.skip.skips(sum, blk, &w.sessionRange)) || !blk.WritesDecoded {
-		w.replayIROnly(blk)
-		return 1
-	}
-	w.replayBlock(blk)
-	return 0
-}
-
 // settle closes every open page interval into the worker's counters
-// and credits each placement's installs and removes to its object's
+// and credits each object's installs, removes and hits to its
 // sessions.
 func (w *streamWorker) settle() {
 	for psi := range w.pages {
 		w.pages[psi].settle(w.per, psi)
 	}
-	for i := range w.plc {
-		pl := &w.plc[i]
-		for _, sess := range w.members(pl.obj) {
-			w.per[sess-w.lo].Installs += pl.installs
-			w.per[sess-w.lo].Removes += pl.removes
-		}
-	}
+	creditObjects(w.set, w.objs, w.per)
 }
 
 // placement returns the worker's placement for an install or remove of
 // obj over [ba, ea), creating it the first time, or -1 when no session
-// of the range contains obj.
+// contains obj.
 func (w *streamWorker) placement(obj objects.ID, ba, ea arch.Addr) int32 {
 	if int(obj) >= len(w.newest) || w.newest[obj] < 0 {
 		return -1
@@ -348,7 +251,7 @@ func (w *streamWorker) placement(obj objects.ID, ba, ea arch.Addr) int32 {
 			return k - 1
 		}
 	}
-	members := w.members(obj)
+	members := w.set.Membership(obj)
 	if len(members) == 0 {
 		w.newest[obj] = -1
 		return -1
@@ -362,7 +265,7 @@ func (w *streamWorker) placement(obj objects.ID, ba, ea arch.Addr) int32 {
 func (w *streamWorker) newPlacement(obj objects.ID, first, last uint32, members []int32) int32 {
 	p := int32(len(w.plc))
 	w.plc = append(w.plc, streamPlacement{
-		obj: obj, first: first, last: last, older: w.newest[obj], words: int32(len(w.plcWords)),
+		first: first, last: last, older: w.newest[obj], words: int32(len(w.plcWords)),
 	})
 	w.newest[obj] = p + 1
 	w.wrCacheOK = false
@@ -373,7 +276,7 @@ func (w *streamWorker) newPlacement(obj objects.ID, first, last uint32, members 
 			w.buf = append(w.buf, w.densePage(psi, pn))
 		}
 		w.pages[psi].addPlacement(p)
-		w.pages[psi].build(p, members, w.buf, w.lo)
+		w.pages[psi].build(p, members, w.buf)
 	}
 	for pn := first; first <= last && pn <= last; pn++ {
 		pg := w.words[pn]
@@ -421,7 +324,7 @@ func (w *streamWorker) replayBlock(blk *trace.Block) {
 	}
 }
 
-// replayIREvent mirrors replayRange's install/remove arms: the same
+// replayIREvent mirrors replayPrepass's install/remove arms: the same
 // slot-list walks over the same pageTab, so counters are bit-identical;
 // only the numbering of pages and placements differs.
 func (w *streamWorker) replayIREvent(kind trace.EventKind, obj objects.ID, ba, ea arch.Addr) {
@@ -436,7 +339,7 @@ func (w *streamWorker) replayIREvent(kind trace.EventKind, obj objects.ID, ba, e
 	// empty membership.
 	words := w.plcWords[pl.words:]
 	if kind == trace.EvInstall {
-		pl.installs++
+		w.objs[obj].installs++
 		w.pages[0].install(p, w.per, 0)
 		w.pages[1].install(p, w.per, 1)
 		for a := ba; a < ea; a += arch.WordBytes {
@@ -444,7 +347,7 @@ func (w *streamWorker) replayIREvent(kind trace.EventKind, obj objects.ID, ba, e
 		}
 		return
 	}
-	pl.removes++
+	w.objs[obj].removes++
 	w.pages[0].remove(p, w.per, 0)
 	w.pages[1].remove(p, w.per, 1)
 	for a := ba; a < ea; a += arch.WordBytes {
@@ -454,7 +357,7 @@ func (w *streamWorker) replayIREvent(kind trace.EventKind, obj objects.ID, ba, e
 	}
 }
 
-// replayWrite mirrors replayRange's write arm: resolve the word to a
+// replayWrite mirrors replayPrepass's write arm: resolve the word to a
 // (member) owner for hit counting, and bump the written page's
 // cumulative counters where entries could exist. Pages absent from
 // pageIdx have never held a member entry; skipping their bump is
@@ -475,9 +378,7 @@ func (w *streamWorker) replayWrite(ba arch.Addr) {
 	}
 	if pg := w.wrWords; pg != nil {
 		if obj := pg[(ba%4096)/4]; obj != 0 {
-			for _, sess := range w.members(obj) {
-				w.per[sess-w.lo].Hits++
-			}
+			w.objs[obj].hits++
 		}
 	}
 	if pi := w.wrPi[0]; pi >= 0 {

@@ -26,10 +26,9 @@ func v3Source(t testing.TB, tr *trace.Trace, blockEvents int) trace.StreamSource
 	return trace.BytesSource(buf.Bytes())
 }
 
-// streamed replays src through the streamed front-end with the given
-// shard count.
-func streamed(src trace.StreamSource, set *sessions.Set, shards int) (*Output, error) {
-	return RunWithOptions(nil, set, Options{Source: src, Shards: shards})
+// streamed replays src through the streamed front-end.
+func streamed(src trace.StreamSource, set *sessions.Set) (*Output, error) {
+	return RunWithOptions(nil, set, Options{Source: src})
 }
 
 // spanInts returns the integer attribute key of every recorded span
@@ -83,10 +82,9 @@ func randomSubset(rng *rand.Rand, set *sessions.Set) *sessions.Set {
 // TestStreamDifferential is the central property of the streaming
 // engine: for random traces × random session subsets, streamed replay
 // (block skip always on) ≡ the in-memory engine — all counters
-// bit-identical — across block sizes and shard counts. The in-memory
-// side is itself pinned to the naive per-session oracle by
-// TestOnePassMatchesNaiveOracle, so this transitively anchors the whole
-// v3 path to first principles.
+// bit-identical — across block sizes. The in-memory side is itself
+// pinned to the naive per-session oracle by TestOnePassMatchesNaiveOracle,
+// so this transitively anchors the whole v3 path to first principles.
 func TestStreamDifferential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		tr := checkedTrace(t, seed, 1500)
@@ -100,17 +98,13 @@ func TestStreamDifferential(t *testing.T) {
 			}
 			wantHash := canonicalHash(want)
 			for _, be := range []int{1, 16, 301, trace.DefaultBlockEvents} {
-				src := v3Source(t, tr, be)
-				for _, shards := range shardCounts() {
-					got, err := streamed(src, set, shards)
-					if err != nil {
-						t.Fatalf("seed %d set %d be=%d shards=%d: %v",
-							seed, si, be, shards, err)
-					}
-					if h := canonicalHash(got); h != wantHash {
-						t.Fatalf("seed %d set %d be=%d shards=%d: stream hash %s != in-memory %s",
-							seed, si, be, shards, h, wantHash)
-					}
+				got, err := streamed(v3Source(t, tr, be), set)
+				if err != nil {
+					t.Fatalf("seed %d set %d be=%d: %v", seed, si, be, err)
+				}
+				if h := canonicalHash(got); h != wantHash {
+					t.Fatalf("seed %d set %d be=%d: stream hash %s != in-memory %s",
+						seed, si, be, h, wantHash)
 				}
 			}
 		}
@@ -132,7 +126,7 @@ func TestStreamBlockSizeInvariance(t *testing.T) {
 	}
 	wantHash := canonicalHash(want)
 	for _, be := range []int{1, 1 << 10, 8192, 1 << 15, 1 << 16} {
-		got, err := streamed(v3Source(t, tr, be), set, 4)
+		got, err := streamed(v3Source(t, tr, be), set)
 		if err != nil {
 			t.Fatalf("be=%d: %v", be, err)
 		}
@@ -156,7 +150,7 @@ func TestStreamAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := streamed(v3Source(t, tr, 0), set, 4)
+		got, err := streamed(v3Source(t, tr, 0), set)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -184,7 +178,7 @@ func TestStreamSparseSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped := spanInts(t, obs, "replay-stream-shard", "skipped_blocks"); len(skipped) != 1 || skipped[0] == 0 {
+	if skipped := spanInts(t, obs, "replay-stream-decode", "skipped_write_columns"); len(skipped) != 1 || skipped[0] == 0 {
 		t.Fatalf("sparse one-session set skipped %v blocks — the fast path never fires", skipped)
 	}
 	if canonicalHash(got) != canonicalHash(want) {
@@ -222,59 +216,11 @@ func TestStreamSingleHeapSkipsAlmostAll(t *testing.T) {
 	}
 }
 
-// TestStreamShardLevelSkip pins the second skip level: on a sparse bps
-// set (every 100th single-heap session) the full set's member pages
-// intersect every block, so the decoder skips nothing, yet some shard's
-// narrower set still skips replaying writes — and the four shards
-// together stay bit-identical to in-memory replay.
-func TestStreamShardLevelSkip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("traces a benchmark workload; skipped in -short")
-	}
-	tr := workloadTrace(t, "bps")
-	full := sessions.Discover(tr)
-	var sub []sessions.Session
-	oneHeap := 0
-	for _, s := range full.Sessions {
-		if s.Type != sessions.OneHeap {
-			continue
-		}
-		if oneHeap%100 == 0 {
-			sub = append(sub, s)
-		}
-		oneHeap++
-	}
-	set := sessions.NewSet(sub, full.NumObjects())
-	want, err := sequential(tr, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := obsv.NewTracer(64)
-	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 0), Shards: 4, Obs: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := spanInts(t, obs, "replay-stream-decode", "skipped_write_columns"); len(d) != 1 || d[0] != 0 {
-		t.Errorf("decoder skipped %v blocks on the %d-session set, want 0", d, len(set.Sessions))
-	}
-	shardSkips := spanInts(t, obs, "replay-stream-shard", "skipped_blocks")
-	fired := false
-	for _, n := range shardSkips {
-		fired = fired || n > 0
-	}
-	if len(shardSkips) != 4 || !fired {
-		t.Errorf("shard skip counts %v: want 4 shards, at least one skipping", shardSkips)
-	}
-	if !reflect.DeepEqual(got.PerSession, want.PerSession) {
-		t.Fatal("sharded streamed replay diverged from in-memory on the sparse bps set")
-	}
-}
-
 // TestStreamEmptySet covers the degenerate zero-session replay.
 func TestStreamEmptySet(t *testing.T) {
 	tr := checkedTrace(t, 1, 400)
 	set := sessions.NewSet(nil, sessions.Discover(tr).NumObjects())
-	out, err := streamed(v3Source(t, tr, 32), set, 8)
+	out, err := streamed(v3Source(t, tr, 32), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +230,7 @@ func TestStreamEmptySet(t *testing.T) {
 }
 
 // TestStreamRejectsCorrupt checks decode errors surface through
-// streamed replay from any worker.
+// streamed replay.
 func TestStreamRejectsCorrupt(t *testing.T) {
 	tr := checkedTrace(t, 2, 400)
 	var buf bytes.Buffer
@@ -294,10 +240,10 @@ func TestStreamRejectsCorrupt(t *testing.T) {
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0x10
 	set := sessions.Discover(tr)
-	if _, err := streamed(trace.BytesSource(data), set, 3); err == nil {
+	if _, err := streamed(trace.BytesSource(data), set); err == nil {
 		t.Fatal("corrupt stream replayed without error")
 	}
-	if _, err := streamed(trace.BytesSource(data[:8]), set, 0); err == nil {
+	if _, err := streamed(trace.BytesSource(data[:8]), set); err == nil {
 		t.Fatal("truncated stream replayed without error")
 	}
 }
@@ -305,7 +251,7 @@ func TestStreamRejectsCorrupt(t *testing.T) {
 // TestStreamObserved pins Options.Obs on streamed replay: observation
 // never feeds back (bit-identical counters), and the expected span
 // structure appears — the engine span with its events_per_sec attribute
-// and one span per shard worker carrying the skipped-block count.
+// and the decode span carrying the skipped-block count.
 func TestStreamObserved(t *testing.T) {
 	tr := checkedTrace(t, 9, 1200)
 	set := sessions.Discover(tr)
@@ -314,8 +260,7 @@ func TestStreamObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := obsv.NewTracer(256)
-	const k = 2
-	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 64), Shards: k, Obs: obs})
+	got, err := RunWithOptions(nil, set, Options{Source: v3Source(t, tr, 64), Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,33 +274,26 @@ func TestStreamObserved(t *testing.T) {
 	if names["replay-stream"] != 1 {
 		t.Errorf("want 1 replay-stream span, got %v", names)
 	}
-	if names["replay-stream-shard"] != k {
-		t.Errorf("want %d replay-stream-shard spans, got %v", k, names)
+	if names["replay-stream-decode"] != 1 {
+		t.Errorf("want 1 replay-stream-decode span, got %v", names)
 	}
 	if !spanHasAttr(obs, "replay-stream", "events_per_sec") {
 		t.Error("replay-stream span lacks events_per_sec attribute")
 	}
-	if !spanHasAttr(obs, "replay-stream-shard", "skipped_blocks") {
-		t.Error("replay-stream-shard span lacks skipped_blocks attribute")
+	if !spanHasAttr(obs, "replay-stream-decode", "skipped_write_columns") {
+		t.Error("replay-stream-decode span lacks skipped_write_columns attribute")
 	}
 	// The streamed worker numbers pages and placements its own way, but
-	// its shards list the same (page, session) entries as the in-memory
-	// shards over the same ranges.
+	// it lists the same (page, session) entries as the in-memory replay.
 	mem := obsv.NewTracer(256)
-	if _, err := RunWithOptions(tr, set, Options{Shards: k, Obs: mem}); err != nil {
+	if _, err := RunWithOptions(tr, set, Options{Obs: mem}); err != nil {
 		t.Fatal(err)
 	}
-	sum := func(xs []int64) (n int64) {
-		for _, x := range xs {
-			n += x
-		}
-		return n
-	}
 	for _, key := range []string{"entries_4k", "entries_8k"} {
-		got := spanInts(t, obs, "replay-stream-shard", key)
-		want := sum(spanInts(t, mem, "replay-shard", key))
-		if len(got) != k || sum(got) != want || want == 0 {
-			t.Errorf("replay-stream-shard %s = %v, want %d shards summing to the in-memory %d", key, got, k, want)
+		got := spanInts(t, obs, "replay-stream", key)
+		want := spanInts(t, mem, "replay-sequential", key)
+		if len(got) != 1 || len(want) != 1 || got[0] != want[0] || want[0] == 0 {
+			t.Errorf("replay-stream %s = %v, want the in-memory %v", key, got, want)
 		}
 	}
 }
@@ -369,18 +307,16 @@ func TestStreamFaultInjection(t *testing.T) {
 		Site: fault.SiteSimReplay, Kind: fault.Transient, Times: 1,
 	}))
 	defer fault.Deactivate()
-	if _, err := streamed(v3Source(t, tr, 64), set, 0); err == nil {
+	if _, err := streamed(v3Source(t, tr, 64), set); err == nil {
 		t.Fatal("injected replay fault not surfaced")
 	}
-	if _, err := streamed(v3Source(t, tr, 64), set, 0); err != nil {
+	if _, err := streamed(v3Source(t, tr, 64), set); err != nil {
 		t.Fatalf("fault exhausted but replay still fails: %v", err)
 	}
 }
 
-// flakySource fails every Open after the first. Before the decode
-// pipeline each extra shard worker re-opened the source, so a sharded
-// replay over this source failed; now it must succeed with exactly one
-// Open no matter the shard count.
+// flakySource fails every Open after the first, so a replay that
+// re-opened its source would fail.
 type flakySource struct {
 	inner trace.StreamSource
 	opens int
@@ -394,30 +330,24 @@ func (f *flakySource) Open() (*trace.Stream, error) {
 	return f.inner.Open()
 }
 
-// TestStreamSingleOpen: a sharded streamed replay opens its source
-// exactly once — the shared decode pipeline replaced per-shard
-// re-reads — and still matches the in-memory engine bit for bit.
+// TestStreamSingleOpen: a streamed replay opens its source exactly
+// once and still matches the in-memory engine bit for bit.
 func TestStreamSingleOpen(t *testing.T) {
 	tr := checkedTrace(t, 11, 300)
 	set := sessions.Discover(tr)
-	if len(set.Sessions) < 2 {
-		t.Skip("need >=2 sessions for a second worker")
-	}
 	want, err := RunWithOptions(tr, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 3, 8} {
-		src := &flakySource{inner: v3Source(t, tr, 64)}
-		got, err := RunWithOptions(nil, set, Options{Source: src, Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if src.opens != 1 {
-			t.Fatalf("shards=%d: source opened %d times, want 1", shards, src.opens)
-		}
-		if !reflect.DeepEqual(got.PerSession, want.PerSession) {
-			t.Fatalf("shards=%d: pipeline counters diverge from in-memory replay", shards)
-		}
+	src := &flakySource{inner: v3Source(t, tr, 64)}
+	got, err := RunWithOptions(nil, set, Options{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.opens != 1 {
+		t.Fatalf("source opened %d times, want 1", src.opens)
+	}
+	if !reflect.DeepEqual(got.PerSession, want.PerSession) {
+		t.Fatal("streamed counters diverge from in-memory replay")
 	}
 }

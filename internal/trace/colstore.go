@@ -192,7 +192,7 @@ func (b *Block) AppendEvents(dst []Event) []Event {
 }
 
 // StreamSource hands out independent Streams over the same v3 file, so
-// sharded replay workers can each run their own single pass.
+// each replay of it runs its own single pass.
 type StreamSource interface {
 	Open() (*Stream, error)
 }

@@ -153,7 +153,7 @@ func TestCompatFixtures(t *testing.T) {
 	}
 
 	set := sessions.Discover(tr)
-	ref, err := sim.RunWithOptions(tr, set, sim.Options{Shards: 1})
+	ref, err := sim.RunWithOptions(tr, set, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCompatFixtures(t *testing.T) {
 		if !reflect.DeepEqual(got.Objects.All(), tr.Objects.All()) {
 			t.Errorf("%s: decoded object table differs", name)
 		}
-		out, err := sim.RunWithOptions(got, sessions.Discover(got), sim.Options{Shards: 1})
+		out, err := sim.RunWithOptions(got, sessions.Discover(got), sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

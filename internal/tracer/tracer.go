@@ -246,8 +246,8 @@ type ChurnPoint struct {
 // RunStreamed. Points may arrive in any order; they fire sorted by
 // threshold (ties in the given order). The resulting trace stays
 // balanced and exclusive — every remove is followed by an install of
-// the same object and range — so replay in any engine (sequential,
-// sharded, streamed) must agree bit-identically with the unchurned
+// the same object and range — so replay in either front-end
+// (in-memory, streamed) must agree bit-identically with the unchurned
 // session semantics aside from the extra install/remove counts.
 func (t *Tracer) Churn(points []ChurnPoint) error {
 	byName := make(map[string]int, len(t.lifetime))

@@ -8,9 +8,9 @@
 //	    entry points.
 //	(b) bounded memory: a synthetic trace whose v3 file exceeds a
 //	    configured heap ceiling is written event-by-event and replayed
-//	    with the streamed sharded engine while a sampler holds peak
-//	    heap growth under that ceiling — the file never fits in the
-//	    memory the pipeline is allowed to use.
+//	    with the streamed engine while a sampler holds peak heap growth
+//	    under that ceiling — the file never fits in the memory the
+//	    pipeline is allowed to use.
 package edb_test
 
 import (
@@ -189,8 +189,8 @@ func synthTrace(tb testing.TB, n int) *trace.Trace {
 
 // TestSyntheticStreamedBitIdentical anchors the synthetic generator on
 // a fits-in-RAM input: the incremental writer's file is byte-identical
-// to the materialised encoding, and streamed sharded replay of that
-// file produces the same counters as the in-memory engine.
+// to the materialised encoding, and streamed replay of that file
+// produces the same counters as the in-memory engine.
 func TestSyntheticStreamedBitIdentical(t *testing.T) {
 	tr := synthTrace(t, 50_000)
 	var want bytes.Buffer
@@ -207,16 +207,12 @@ func TestSyntheticStreamedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		out, err := sim.RunWithOptions(nil, set, sim.Options{
-			Source: trace.BytesSource(got), Shards: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(out.PerSession, ref.PerSession) {
-			t.Errorf("shards=%d: streamed replay of the written file diverges from the in-memory engine", shards)
-		}
+	out, err := sim.RunWithOptions(nil, set, sim.Options{Source: trace.BytesSource(got)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out.PerSession, ref.PerSession) {
+		t.Error("streamed replay of the written file diverges from the in-memory engine")
 	}
 }
 
@@ -260,9 +256,9 @@ func sampleHeap() (stop func() uint64) {
 
 // TestLargerThanRAMStreamedReplay is bounded-memory check (b): the
 // synthetic trace is streamed to disk event-by-event (never holding
-// []Event), then replayed with the sharded decode pipeline — and the
-// whole round trip's peak heap stays under heapCeiling even though the
-// v3 file is larger than heapCeiling.
+// []Event), then replayed in one streamed pass — and the whole round
+// trip's peak heap stays under heapCeiling even though the v3 file is
+// larger than heapCeiling.
 func TestLargerThanRAMStreamedReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams millions of events; skipped in -short")
@@ -322,9 +318,7 @@ func TestLargerThanRAMStreamedReplay(t *testing.T) {
 	set := sessions.Discover(&trace.Trace{Program: "synthetic", Objects: tab})
 
 	stop = sampleHeap()
-	out, err := sim.RunWithOptions(nil, set, sim.Options{
-		Source: trace.FileSource(path), Shards: 4,
-	})
+	out, err := sim.RunWithOptions(nil, set, sim.Options{Source: trace.FileSource(path)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +326,6 @@ func TestLargerThanRAMStreamedReplay(t *testing.T) {
 
 	if out.TotalWrites != nWrites {
 		t.Errorf("streamed replay saw %d writes, want %d", out.TotalWrites, nWrites)
-	}
-	// Internal consistency: the single-pass engine over the same file
-	// must agree with the pipeline bit for bit.
-	single, err := sim.RunWithOptions(nil, set, sim.Options{
-		Source: trace.FileSource(path), Shards: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.PerSession, single.PerSession) {
-		t.Error("pipeline replay diverges from the single-pass engine on the synthetic file")
 	}
 
 	for phase, peak := range map[string]uint64{"write": writePeak, "replay": replayPeak} {
