@@ -64,13 +64,16 @@ chaos:
 
 # Fuzz smoke: the binary-decoder fuzz targets over their checked-in
 # corpora (truncated real workload traces / request envelopes +
-# regression crashers) plus a short exploration budget each. CI runs
+# regression crashers) plus a short exploration budget each, and
+# FuzzServeRequestParity, which decodes each trace payload through
+# both request entry points and requires the same verdict. CI runs
 # this on every PR; run with a longer -fuzztime locally when touching
 # either codec.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime $(FUZZTIME) ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzServeRequestParity -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzRepatchScript -fuzztime $(FUZZTIME) ./internal/core/codepatch/
 
 # Coverage gate for the replay core's packages: statement coverage of

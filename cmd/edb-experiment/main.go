@@ -11,7 +11,7 @@
 //	edb-experiment -csv results.csv        # machine-readable Table 4
 //	edb-experiment -sessions sessions.csv  # per-session overheads
 //	edb-experiment -scale 2                # longer runs
-//	edb-experiment -workers 1              # serial pipeline (default:
+//	edb-experiment -workers 1              # one benchmark at a time (default:
 //	                                       # GOMAXPROCS-wide fan-out)
 //	edb-experiment -keep-going             # report partial results with
 //	                                       # n/a rows instead of failing

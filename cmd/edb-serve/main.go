@@ -13,7 +13,6 @@
 //	edb-serve -max-inflight 16             # default tenant quota
 //	edb-serve -deadline 30s -max-deadline 5m
 //	edb-serve -retries 2 -retry-backoff 10ms
-//	edb-serve -hedge-after 250ms           # hedged duplicate dispatch
 //	edb-serve -breaker-threshold 5 -breaker-cooldown 1s
 //	edb-serve -max-body-buffer 8388608     # spool larger bodies to disk
 //	edb-serve -drain-timeout 30s           # SIGTERM grace period
@@ -62,7 +61,6 @@ func main() {
 		maxDeadline = flag.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
 		retries     = flag.Int("retries", 1, "transient replay retries per submission")
 		backoff     = flag.Duration("retry-backoff", 10*time.Millisecond, "initial retry backoff (jittered, doubling, capped)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "hedge a duplicate replay attempt after this delay (0 = off)")
 		brkThresh   = flag.Int("breaker-threshold", 5, "consecutive failures opening a (tenant, phase) circuit (0 = off)")
 		brkCooldown = flag.Duration("breaker-cooldown", time.Second, "open-circuit cooldown")
 		maxBytes    = flag.Int64("max-request-bytes", 0, "request envelope size cap (0 = 64MiB)")
@@ -87,7 +85,6 @@ func main() {
 		MaxDeadline:      *maxDeadline,
 		Retries:          *retries,
 		RetryBackoff:     *backoff,
-		HedgeAfter:       *hedgeAfter,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		StoreDir:         *store,

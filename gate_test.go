@@ -345,7 +345,6 @@ var gateSuites = []gateSuite{
 	// documenting the win over the pre-rewrite engine.
 	{name: "replay", file: "BENCH_replay_core.json", setup: replaySetup, bars: []bar{
 		within("SimReplay/sequential ns_op", 1+clockSlack, 0),
-		within("SimReplay/sequential allocs_op", 1.02, 1),
 		within("SimReplay/sequential allocs_op", 1.02, 0),
 		within("SimReplay/sequential bytes_op", 1.05, 0),
 		within("SimReplay/sequential-prepassed ns_op", 1+clockSlack, 0),

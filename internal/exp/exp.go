@@ -37,9 +37,10 @@ type Config struct {
 	Programs []string
 	// Workers bounds how many benchmarks are compiled, traced, and
 	// analysed concurrently. 0 (or negative) defaults to GOMAXPROCS;
-	// 1 forces the serial pipeline. Results are deterministic — ordered
-	// by Programs position, with Summaries bit-identical — regardless
-	// of the worker count.
+	// 1 runs them one after another, in Programs order, on one pool
+	// goroutine. Results are deterministic — ordered by Programs
+	// position, with Summaries bit-identical — regardless of the
+	// worker count.
 	Workers int
 
 	// KeepGoing turns the pipeline from fail-fast into gracefully
@@ -513,57 +514,35 @@ func RunContext(ctx context.Context, cfg Config) ([]*ProgramResult, error) {
 		return err
 	}
 
-	workers := c.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Serial fast path: no goroutines at all.
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				// The run is over: stop claiming work. KeepGoing mode
-				// records the cancellation against the unattempted
+	var (
+		next     atomic.Int64 // next unclaimed Programs index
+		canceled atomic.Bool  // set on first error (fail-fast only)
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < min(c.Workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// Once the run is over, stop claiming work: KeepGoing
+				// mode records the cancellation against the unclaimed
 				// benchmarks below instead of attempting each one just
 				// to watch it fail its first context check.
-				if !c.KeepGoing {
-					return nil, fmt.Errorf("exp: %w", ctx.Err())
+				i := int(next.Add(1) - 1)
+				if i >= n || canceled.Load() || ctx.Err() != nil {
+					return
 				}
-				break
-			}
-			if err := runOne(i); err != nil {
-				if !c.KeepGoing {
-					return nil, err
-				}
-				errs[i] = err
-			}
-		}
-	} else {
-		var (
-			next     atomic.Int64 // next unclaimed Programs index
-			canceled atomic.Bool  // set on first error (fail-fast only)
-			wg       sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= n || canceled.Load() || ctx.Err() != nil {
+				if err := runOne(i); err != nil {
+					errs[i] = err
+					if !c.KeepGoing {
+						canceled.Store(true)
 						return
 					}
-					if err := runOne(i); err != nil {
-						errs[i] = err
-						if !c.KeepGoing {
-							canceled.Store(true)
-							return
-						}
-					}
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		}()
 	}
+	wg.Wait()
 	if c.KeepGoing && ctx.Err() != nil {
 		// Benchmarks never claimed because the context ended mid-run
 		// still owe the caller a placeholder failure each.

@@ -22,8 +22,9 @@ var (
 	// request has been queued and granted, modelling a scheduling-layer
 	// failure. Keyed by tenant. Honors Transient and Permanent.
 	SiteServeAdmit = Register("serve.Admit")
-	// SiteServeReplay fires at the top of each replay attempt the
-	// server dispatches (retries and hedges are separate invocations).
+	// SiteServeReplay fires at the top of each full replay attempt the
+	// server dispatches (each retry is a separate invocation; an
+	// incremental session mutation fires SiteServeRepatch instead).
 	// Keyed by tenant. Honors Transient, Permanent, and Panic — the
 	// server contains the panic and converts it into a typed error.
 	SiteServeReplay = Register("serve.Replay")

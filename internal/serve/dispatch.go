@@ -1,11 +1,7 @@
 // The replay dispatcher: the resilient path from an admitted
 // submission to a committed artifact. Each attempt runs the
-// deterministic replay under panic containment; around attempts sit a
-// transient-only retry loop with jittered, capped exponential backoff
-// and an optional hedge — a duplicate attempt dispatched when the
-// primary is slow, first result wins. Determinism makes hedging safe:
-// both attempts compute bit-identical artifacts, so whichever lands
-// first is the answer.
+// deterministic replay under panic containment; around attempts sits a
+// transient-only retry loop with jittered, capped exponential backoff.
 package serve
 
 import (
@@ -20,7 +16,6 @@ import (
 	"edb/internal/fault"
 	"edb/internal/sessions"
 	"edb/internal/sim"
-	"edb/internal/trace"
 )
 
 // ReplayPanicError wraps a panic recovered from a replay attempt into
@@ -45,25 +40,23 @@ func (e *ReplayPanicError) Unwrap() error {
 	return nil
 }
 
-// dispatcher runs replay attempts with retry and hedging.
+// dispatcher runs replay attempts with retry.
 type dispatcher struct {
-	retries    int           // transient re-attempts after the first try
-	backoff    time.Duration // first retry delay; doubles, capped at 8x
-	hedgeAfter time.Duration // 0 disables hedging
+	retries int           // transient re-attempts after the first try
+	backoff time.Duration // first retry delay; doubles, capped at 8x
 
 	mu  sync.Mutex
 	rng *rand.Rand // jitter source; seeded once for reproducible tests
 }
 
-func newDispatcher(retries int, backoff, hedgeAfter time.Duration, seed int64) *dispatcher {
+func newDispatcher(retries int, backoff time.Duration, seed int64) *dispatcher {
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
 	}
 	return &dispatcher{
-		retries:    retries,
-		backoff:    backoff,
-		hedgeAfter: hedgeAfter,
-		rng:        rand.New(rand.NewSource(seed)),
+		retries: retries,
+		backoff: backoff,
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -76,7 +69,7 @@ func (d *dispatcher) jittered(dur time.Duration) time.Duration {
 	return time.Duration(float64(dur) * f)
 }
 
-// run executes attempt with retry + hedging. Only transient failures
+// run executes attempt with retry. Only transient failures
 // (per the fault taxonomy) are retried; permanent errors, panics, and
 // context expiry surface immediately.
 func (d *dispatcher) run(ctx context.Context, tenant string, attempt func(ctx context.Context) (*Artifact, error)) (*Artifact, error) {
@@ -101,7 +94,7 @@ func (d *dispatcher) run(ctx context.Context, tenant string, attempt func(ctx co
 				return nil, fmt.Errorf("serve: %w (last attempt: %v)", ctx.Err(), lastErr)
 			}
 		}
-		art, err := d.attemptHedged(ctx, tenant, attempt)
+		art, err := d.protected(ctx, tenant, attempt)
 		if err == nil {
 			return art, nil
 		}
@@ -111,60 +104,6 @@ func (d *dispatcher) run(ctx context.Context, tenant string, attempt func(ctx co
 		}
 	}
 	return nil, fmt.Errorf("serve: retries exhausted: %w", lastErr)
-}
-
-// attemptResult is one attempt's outcome, tagged with which lane
-// (primary or hedge) produced it.
-type attemptResult struct {
-	art   *Artifact
-	err   error
-	hedge bool
-}
-
-// attemptHedged runs one logical attempt. With hedging enabled, a
-// duplicate attempt launches if the primary hasn't answered within
-// hedgeAfter; the first result — success or failure — wins, and the
-// loser's context is canceled. Without hedging it is a plain call.
-func (d *dispatcher) attemptHedged(ctx context.Context, tenant string, attempt func(ctx context.Context) (*Artifact, error)) (*Artifact, error) {
-	if d.hedgeAfter <= 0 {
-		return d.protected(ctx, tenant, attempt)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan attemptResult, 2)
-	launch := func(hedge bool) {
-		go func() {
-			art, err := d.protected(actx, tenant, attempt)
-			results <- attemptResult{art: art, err: err, hedge: hedge}
-		}()
-	}
-	launch(false)
-	hedgeTimer := time.NewTimer(d.hedgeAfter)
-	defer hedgeTimer.Stop()
-	launched := 1
-	for {
-		select {
-		case r := <-results:
-			// First result wins; cancel drains the loser via actx.
-			return r.art, r.err
-		case <-hedgeTimer.C:
-			if launched < 2 {
-				launch(true)
-				launched++
-			}
-		case <-actx.Done():
-			if launched > 0 {
-				r := <-results // attempts always send, even on cancellation
-				if launched == 2 {
-					<-results
-				}
-				if r.err == nil {
-					return r.art, nil
-				}
-			}
-			return nil, actx.Err()
-		}
-	}
 }
 
 // protected runs one attempt with panic containment.
@@ -179,52 +118,70 @@ func (d *dispatcher) protected(ctx context.Context, tenant string, attempt func(
 
 // computeArtifact is the replay itself: discover sessions, apply the
 // submission's spec (keeping original discovery indices), replay the
-// subset, and seal the result under its hash. It is deterministic:
-// the same request bytes always produce the same ResultSHA,
-// regardless of retry lane or which hedge won.
-func computeArtifact(tenant string, req *Request) (*Artifact, error) {
-	// Panic-kind injections panic out of Inject itself; the dispatcher's
-	// containment converts them into a ReplayPanicError.
-	if err := fault.Inject(fault.SiteServeReplay, tenant); err != nil {
-		return nil, fmt.Errorf("serve: replay: %w", err)
+// chosen sessions, and seal the result under the submission's hash. A
+// session mutation passes its base artifact: base rows are reused by
+// discovery index, the stable session identity across subset
+// selections, and only the sessions the base lacks are replayed. A
+// full replay passes nil. Either way the result is deterministic: the
+// same request bytes always produce the same ResultSHA, merged or not,
+// on any retry.
+func computeArtifact(tenant string, req *Request, base *Artifact) (*Artifact, error) {
+	if base == nil {
+		// Panic-kind injections panic out of Inject itself; the
+		// dispatcher's containment converts them into a
+		// ReplayPanicError.
+		if err := fault.Inject(fault.SiteServeReplay, tenant); err != nil {
+			return nil, fmt.Errorf("serve: replay: %w", err)
+		}
 	}
 	// Session discovery needs only the object table, so both the
 	// materialised and the spooled shapes feed the same path; the spool
 	// replays through the streamed sim engine instead of in memory.
-	numEvents := 0
-	simTrace, simOpts := req.Trace, sim.Options{}
-	discTrace := req.Trace
-	if st := req.Streamed; st != nil {
-		numEvents = int(st.NumEvents)
-		simTrace = nil
-		simOpts.Source = st.Source
-		discTrace = &trace.Trace{Program: st.Program, Objects: st.Objects}
-	} else {
-		numEvents = len(req.Trace.Events)
-	}
-	full := sessions.Discover(discTrace)
+	head := req.traceHead()
+	full := sessions.Discover(head)
 	chosen, origIndex, err := req.Header.Sessions.Select(full)
 	if err != nil {
 		return nil, err
 	}
-	subset := sessions.NewSet(chosen, full.NumObjects())
-	out, err := sim.RunWithOptions(simTrace, subset, simOpts)
-	if err != nil {
-		return nil, fmt.Errorf("serve: replay: %w", err)
+	art := &Artifact{RequestSHA: req.Hash, Program: head.Program, Sessions: make([]SessionResult, len(chosen))}
+	simTrace, simOpts := req.Trace, sim.Options{}
+	if st := req.Streamed; st != nil {
+		art.NumEvents = int(st.NumEvents)
+		simTrace, simOpts.Source = nil, st.Source
+	} else {
+		art.NumEvents = len(req.Trace.Events)
 	}
-	art := &Artifact{
-		RequestSHA: req.Hash,
-		Program:    discTrace.Program,
-		NumEvents:  numEvents,
-		Sessions:   make([]SessionResult, len(out.PerSession)),
+	var have map[int]*SessionResult
+	if base != nil {
+		have = make(map[int]*SessionResult, len(base.Sessions))
+		for i := range base.Sessions {
+			have[base.Sessions[i].Index] = &base.Sessions[i]
+		}
 	}
-	for i := range out.PerSession {
-		s := &subset.Sessions[i]
-		art.Sessions[i] = SessionResult{
-			Index:    origIndex[i],
-			Type:     s.Type.String(),
-			Label:    s.Label(),
-			Counting: out.PerSession[i],
+	var added []sessions.Session
+	var addedPos []int
+	for i := range chosen {
+		if row, ok := have[origIndex[i]]; ok {
+			art.Sessions[i] = *row
+		} else {
+			added = append(added, chosen[i])
+			addedPos = append(addedPos, i)
+		}
+	}
+	if len(added) > 0 {
+		subset := sessions.NewSet(added, full.NumObjects())
+		out, err := sim.RunWithOptions(simTrace, subset, simOpts)
+		if err != nil {
+			return nil, fmt.Errorf("serve: replay: %w", err)
+		}
+		for k, pos := range addedPos {
+			s := &subset.Sessions[k]
+			art.Sessions[pos] = SessionResult{
+				Index:    origIndex[pos],
+				Type:     s.Type.String(),
+				Label:    s.Label(),
+				Counting: out.PerSession[k],
+			}
 		}
 	}
 	art.ResultSHA = resultHash(art.Sessions)
@@ -232,8 +189,8 @@ func computeArtifact(tenant string, req *Request) (*Artifact, error) {
 }
 
 // resultHash seals the per-session results: the hex SHA-256 over each
-// session's canonical line in order. Retries, hedges, and cache hits
-// for the same submission must all agree on it.
+// session's canonical line in order. Retries, merged mutations, and
+// cache hits for the same submission must all agree on it.
 func resultHash(sess []SessionResult) string {
 	h := sha256.New()
 	for i := range sess {

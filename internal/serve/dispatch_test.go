@@ -29,7 +29,7 @@ func TestDispatchRetriesTransient(t *testing.T) {
 		Site: fault.SiteServeReplay, Key: "unit", Kind: fault.Transient, Times: 2,
 	}))
 	defer fault.Deactivate()
-	d := newDispatcher(3, time.Millisecond, 0, 1)
+	d := newDispatcher(3, time.Millisecond, 1)
 	attempt, calls := transientAttempt(2)
 	art, err := d.run(context.Background(), "unit", attempt)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestDispatchStopsOnPermanent(t *testing.T) {
 		Site: fault.SiteServeReplay, Key: "unit", Kind: fault.Permanent,
 	}))
 	defer fault.Deactivate()
-	d := newDispatcher(5, time.Millisecond, 0, 1)
+	d := newDispatcher(5, time.Millisecond, 1)
 	attempt, calls := transientAttempt(100)
 	_, err := d.run(context.Background(), "unit", attempt)
 	if err == nil || fault.IsTransient(err) || !fault.IsInjected(err) {
@@ -61,7 +61,7 @@ func TestDispatchRetriesExhausted(t *testing.T) {
 		Site: fault.SiteServeReplay, Key: "unit", Kind: fault.Transient,
 	}))
 	defer fault.Deactivate()
-	d := newDispatcher(2, time.Millisecond, 0, 1)
+	d := newDispatcher(2, time.Millisecond, 1)
 	attempt, calls := transientAttempt(100)
 	_, err := d.run(context.Background(), "unit", attempt)
 	if err == nil || !fault.IsTransient(err) {
@@ -79,7 +79,7 @@ func TestDispatchContainsPanic(t *testing.T) {
 		Site: fault.SiteServeReplay, Key: "unit", Kind: fault.Panic,
 	}))
 	defer fault.Deactivate()
-	d := newDispatcher(0, time.Millisecond, 0, 1)
+	d := newDispatcher(0, time.Millisecond, 1)
 	attempt, _ := transientAttempt(100)
 	_, err := d.run(context.Background(), "unit", attempt)
 	var pe *ReplayPanicError
@@ -98,7 +98,7 @@ func TestDispatchDeadlineCutsBackoff(t *testing.T) {
 		Site: fault.SiteServeReplay, Key: "unit", Kind: fault.Transient,
 	}))
 	defer fault.Deactivate()
-	d := newDispatcher(3, time.Hour, 0, 1) // absurd backoff: only cancellation ends it
+	d := newDispatcher(3, time.Hour, 1) // absurd backoff: only cancellation ends it
 	attempt, _ := transientAttempt(100)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -109,54 +109,5 @@ func TestDispatchDeadlineCutsBackoff(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("backoff ignored cancellation: took %s", elapsed)
-	}
-}
-
-// TestDispatchHedgeWins: with the primary attempt wedged, the hedge
-// fires and delivers the result; both lanes compute the same artifact
-// so whichever wins is correct.
-func TestDispatchHedgeWins(t *testing.T) {
-	d := newDispatcher(0, time.Millisecond, 5*time.Millisecond, 1)
-	var calls atomic.Int64
-	attempt := func(ctx context.Context) (*Artifact, error) {
-		if calls.Add(1) == 1 {
-			// Primary lane: wedge until canceled by the hedge's win.
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return testArtifact(hashLike(0x42)), nil
-	}
-	art, err := d.run(context.Background(), "unit", attempt)
-	if err != nil {
-		t.Fatalf("hedged run failed: %v", err)
-	}
-	if art.RequestSHA != hashLike(0x42) {
-		t.Errorf("wrong artifact from hedge")
-	}
-	if calls.Load() != 2 {
-		t.Errorf("lanes launched = %d, want 2", calls.Load())
-	}
-}
-
-// TestDispatchHedgeIdenticalResults: when both lanes complete, the
-// first result wins and equals what the loser would have produced —
-// determinism makes the race benign.
-func TestDispatchHedgeIdenticalResults(t *testing.T) {
-	d := newDispatcher(0, time.Millisecond, 0, 1) // hedging off: baseline
-	base, err := d.run(context.Background(), "unit", func(ctx context.Context) (*Artifact, error) {
-		return testArtifact(hashLike(0x42)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dh := newDispatcher(0, time.Millisecond, time.Microsecond, 1) // hedge almost immediately
-	hedged, err := dh.run(context.Background(), "unit", func(ctx context.Context) (*Artifact, error) {
-		return testArtifact(hashLike(0x42)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.ResultSHA != hedged.ResultSHA {
-		t.Errorf("hedged result differs: %s vs %s", base.ResultSHA, hedged.ResultSHA)
 	}
 }

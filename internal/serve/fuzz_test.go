@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"os"
 	"reflect"
 	"testing"
 
@@ -142,6 +144,65 @@ func FuzzServeRequest(f *testing.F) {
 		}
 		if req.HashOnly() != (req.Trace == nil) {
 			t.Fatalf("HashOnly()=%v but Trace==nil is %v", req.HashOnly(), req.Trace == nil)
+		}
+	})
+}
+
+// FuzzServeRequestParity decodes one submission through both entry
+// points. The input is a trace payload, which the harness wraps in a
+// valid envelope, so the fuzzer explores what lands behind the trace
+// frame: DecodeRequest and DecodeRequestStream must both accept it
+// with the same hash and header, or both reject it as a typed bad
+// request at the same byte offset, and no spool file may survive
+// either way. The seeds include a v2 trace whose version is spelled as
+// a two-byte uvarint, a divergence a short run seeded only with the
+// plain encodings did not find.
+func FuzzServeRequestParity(f *testing.F) {
+	tr := testTrace()
+	var v2, v3 bytes.Buffer
+	if err := trace.WriteTo(&v2, tr, trace.WriteOptions{}); err != nil {
+		f.Fatal(err)
+	}
+	if err := trace.WriteTo(&v3, tr, trace.WriteOptions{Version: 3, BlockEvents: 2}); err != nil {
+		f.Fatal(err)
+	}
+	for _, tb := range [][]byte{v2.Bytes(), v3.Bytes()} {
+		for _, n := range []int{len(tb), len(tb) - 1, len(tb) / 2, 5, 4, 0} {
+			f.Add(tb[:n])
+		}
+	}
+	f.Add(longVersionV2(v2.Bytes()))
+	hdr := &RequestHeader{Program: "proto-test", Sessions: SessionSpec{MaxSessions: 3}}
+
+	f.Fuzz(func(t *testing.T, tb []byte) {
+		var env bytes.Buffer
+		if err := EncodeRequest(&env, hdr, tb); err != nil {
+			t.Fatal(err)
+		}
+		mem, merr := DecodeRequest(env.Bytes(), 1<<22)
+		spoolDir := t.TempDir()
+		str, serr := DecodeRequestStream(bytes.NewReader(env.Bytes()), 1<<22, spoolDir)
+		if serr == nil {
+			str.Cleanup()
+		}
+		if ents, _ := os.ReadDir(spoolDir); len(ents) != 0 {
+			t.Fatalf("%d spool files survive (streamed err=%v)", len(ents), serr)
+		}
+		if (merr == nil) != (serr == nil) {
+			t.Fatalf("entry points disagree: in memory err=%v, streamed err=%v", merr, serr)
+		}
+		if merr == nil {
+			if mem.Hash != str.Hash || !reflect.DeepEqual(mem.Header, str.Header) {
+				t.Fatalf("accepted differently: hash %s vs %s, header %+v vs %+v", mem.Hash, str.Hash, mem.Header, str.Header)
+			}
+			return
+		}
+		var mp, sp *protoErr
+		if !errors.As(merr, &mp) || !errors.As(serr, &sp) {
+			t.Fatalf("untyped rejection: in memory %v, streamed %v", merr, serr)
+		}
+		if mp.off != sp.off {
+			t.Fatalf("rejected at byte %d in memory, %d streamed:\n  %v\n  %v", mp.off, sp.off, merr, serr)
 		}
 	})
 }

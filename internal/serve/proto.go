@@ -14,14 +14,18 @@
 // content hash (a hash-only submission: the client asks for a cached
 // result without re-uploading the trace).
 //
-// The decoder applies the same hardening discipline as the trace
-// codec (internal/trace): every length is bounded before allocation,
+// One parser (envReader) decodes the envelope for both entry points,
+// DecodeRequest (in memory) and DecodeRequestStream (protostream.go),
+// with the same hardening discipline as the trace codec
+// (internal/trace): every length is bounded before allocation,
 // checksums are verified before any payload byte is interpreted, and
 // failures report the absolute byte offset of the offending field.
-// DecodeRequest is the FuzzServeRequest target.
+// DecodeRequest is the FuzzServeRequest target; FuzzServeRequestParity
+// decodes each input through both entry points.
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -31,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -203,6 +208,16 @@ type Request struct {
 // HashOnly reports whether the submission carries no trace payload.
 func (r *Request) HashOnly() bool { return r.Trace == nil && r.Streamed == nil }
 
+// traceHead returns the submission's trace as session discovery sees
+// it: the materialised trace, or a spooled trace's program and object
+// table.
+func (r *Request) traceHead() *trace.Trace {
+	if st := r.Streamed; st != nil {
+		return &trace.Trace{Program: st.Program, Objects: st.Objects}
+	}
+	return r.Trace
+}
+
 // contentHash computes a submission's content address. It covers the
 // trace payload bytes and the canonical replay question (hashQuestion)
 // — not the tenant, which is what makes identical submissions dedupe
@@ -273,80 +288,153 @@ func IsBadRequest(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// reqDecoder tracks the absolute offset while decoding an envelope.
-type reqDecoder struct {
-	data []byte
-	off  int64
-}
-
-func (d *reqDecoder) errAt(off int64, format string, args ...any) error {
+func errAt(off int64, format string, args ...any) error {
 	return &protoErr{off: off, msg: fmt.Sprintf(format, args...)}
 }
 
-func (d *reqDecoder) remaining() int64 { return int64(len(d.data)) - d.off }
+// envReader is the one envelope parser behind DecodeRequest and
+// DecodeRequestStream, tracking the absolute offset of every field.
+// It reads an envelope already in memory (buf) or, when r is set, one
+// arriving incrementally; the only difference is where the trace
+// payload lands: a subslice of buf, or a spool file in spoolDir.
+type envReader struct {
+	buf      []byte
+	r        *bufio.Reader
+	spoolDir string
+	off      int64
+	max      int64 // bound on the whole envelope
+}
 
-func (d *reqDecoder) uvarint(what string) (uint64, error) {
-	start := d.off
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.errAt(start, "%s: invalid or truncated uvarint", what)
+// ReadByte implements io.ByteReader for binary.ReadUvarint.
+func (d *envReader) ReadByte() (byte, error) {
+	if d.r != nil {
+		b, err := d.r.ReadByte()
+		if err == nil {
+			d.off++
+		}
+		return b, err
 	}
-	d.off += int64(n)
+	if d.off >= int64(len(d.buf)) {
+		return 0, io.EOF
+	}
+	d.off++
+	return d.buf[d.off-1], nil
+}
+
+func (d *envReader) uvarint(what string) (uint64, error) {
+	start := d.off
+	v, err := binary.ReadUvarint(d)
+	if err != nil {
+		return 0, errAt(start, "%s: invalid or truncated uvarint", what)
+	}
 	return v, nil
 }
 
-// frame reads one length-prefixed CRC-checked frame, bounding the
-// declared length against both the caller's cap and the bytes
-// actually present before any allocation or copy.
-func (d *reqDecoder) frame(what string, maxLen int64) ([]byte, error) {
+// next consumes up to n bytes, fewer only where the envelope ends: a
+// subslice of buf in memory, a fresh buffer when streaming. Callers
+// bound n first.
+func (d *envReader) next(n int64) []byte {
+	var p []byte
+	if d.r != nil {
+		p = make([]byte, n)
+		k, _ := io.ReadFull(d.r, p)
+		p = p[:k]
+	} else {
+		p = d.buf[d.off : d.off+min(n, int64(len(d.buf))-d.off)]
+	}
+	d.off += int64(len(p))
+	return p
+}
+
+// frameHead reads a frame's length and checksum. The length is bounded
+// by maxLen and by what the envelope bound leaves after the checksum,
+// before anything is allocated or copied, so a streamed upload gets
+// the typed rejection before any transport-level cap can fire.
+func (d *envReader) frameHead(what string, maxLen int64) (int64, uint32, error) {
 	start := d.off
 	n, err := d.uvarint(what + " length")
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	if int64(n) > maxLen {
-		return nil, d.errAt(start, "%s length %d exceeds limit %d", what, n, maxLen)
+	if limit := min(maxLen, d.max-d.off-4); limit < 0 || n > uint64(limit) {
+		return 0, 0, errAt(start, "%s length %d exceeds limit %d", what, n, limit)
 	}
-	if d.remaining() < 4 {
-		return nil, d.errAt(d.off, "%s: truncated checksum", what)
+	crcOff := d.off
+	if c := d.next(4); len(c) == 4 {
+		return int64(n), binary.LittleEndian.Uint32(c), nil
 	}
-	want := binary.LittleEndian.Uint32(d.data[d.off:])
-	d.off += 4
-	if int64(n) > d.remaining() {
-		return nil, d.errAt(d.off, "%s length %d exceeds remaining %d bytes", what, n, d.remaining())
-	}
-	payload := d.data[d.off : d.off+int64(n)]
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, d.errAt(d.off, "%s: checksum mismatch (got %08x, want %08x)", what, got, want)
-	}
-	d.off += int64(n)
-	return payload, nil
+	return 0, 0, errAt(crcOff, "%s: truncated checksum", what)
 }
 
-// DecodeRequest parses one request envelope. maxBytes bounds the
-// whole envelope (0 selects DefaultMaxRequestBytes); data beyond it
-// is rejected, not truncated. The returned Request's Trace has been
-// fully decoded and hash-verified against any declared content hash.
-func DecodeRequest(data []byte, maxBytes int64) (*Request, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxRequestBytes
+// payload consumes a frame's n payload bytes into sink (when set) and
+// verifies the checksum. In memory it returns the bytes as a subslice
+// of buf; streamed, it returns them only when there is no sink.
+func (d *envReader) payload(what string, n int64, want uint32, sink io.Writer) ([]byte, error) {
+	start := d.off
+	crc := crc32.NewIEEE()
+	var p []byte
+	got := n
+	if d.r != nil && sink != nil {
+		var err error
+		got, err = io.Copy(io.MultiWriter(sink, crc), io.LimitReader(d.r, n))
+		d.off += got
+		if err != nil {
+			return nil, fmt.Errorf("serve: spooling %s: %w", what, err)
+		}
+	} else {
+		p = d.next(n)
+		got = int64(len(p))
+		crc.Write(p)
+		if sink != nil {
+			sink.Write(p)
+		}
 	}
-	d := &reqDecoder{data: data}
-	if int64(len(data)) > maxBytes {
-		return nil, d.errAt(maxBytes, "request of %d bytes exceeds limit %d", len(data), maxBytes)
+	if got < n {
+		return nil, errAt(start, "%s length %d exceeds remaining %d bytes", what, n, got)
 	}
-	if d.remaining() < int64(len(protoMagic)) || string(data[:len(protoMagic)]) != protoMagic {
-		return nil, d.errAt(0, "bad magic (want %q)", protoMagic)
+	if c := crc.Sum32(); c != want {
+		return nil, errAt(start, "%s: checksum mismatch (got %08x, want %08x)", what, c, want)
 	}
-	d.off = int64(len(protoMagic))
+	return p, nil
+}
+
+// end rejects anything after the trace frame (a streamed count stops
+// at the envelope bound).
+func (d *envReader) end() error {
+	extra := int64(len(d.buf)) - d.off
+	if d.r != nil {
+		var err error
+		if extra, err = io.Copy(io.Discard, d.r); err != nil {
+			return errAt(d.off, "after trace frame: %v", err)
+		}
+	}
+	if extra != 0 {
+		return errAt(d.off, "%d trailing bytes after trace frame", extra)
+	}
+	return nil
+}
+
+// decode parses one envelope. Header-level rejections report offset 0
+// (negative fields, a malformed or mismatched declared hash, a program
+// that does not match the trace) and run as soon as their inputs are
+// read: the negative-field checks before the trace frame, the declared
+// hash before the trace is decoded.
+func (d *envReader) decode() (req *Request, err error) {
+	if string(d.next(int64(len(protoMagic)))) != protoMagic {
+		return nil, errAt(0, "bad magic (want %q)", protoMagic)
+	}
 	ver, err := d.uvarint("version")
 	if err != nil {
 		return nil, err
 	}
 	if ver != protoVersion {
-		return nil, d.errAt(int64(len(protoMagic)), "unsupported version %d (want %d)", ver, protoVersion)
+		return nil, errAt(int64(len(protoMagic)), "unsupported version %d (want %d)", ver, protoVersion)
 	}
-	hb, err := d.frame("header", maxHeaderBytes)
+	n, want, err := d.frameHead("header", maxHeaderBytes)
+	if err != nil {
+		return nil, err
+	}
+	hb, err := d.payload("header", n, want, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -354,48 +442,91 @@ func DecodeRequest(data []byte, maxBytes int64) (*Request, error) {
 	dec := json.NewDecoder(bytes.NewReader(hb))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&hdr); err != nil {
-		return nil, d.errAt(d.off-int64(len(hb)), "header JSON: %v", err)
+		return nil, errAt(d.off-n, "header JSON: %v", err)
 	}
 	if dec.More() {
-		return nil, d.errAt(d.off, "header JSON: trailing data")
+		return nil, errAt(d.off, "header JSON: trailing data")
 	}
-	tb, err := d.frame("trace", maxBytes)
+	if hdr.Sessions.MaxSessions < 0 {
+		return nil, errAt(0, "negative max_sessions")
+	}
+	if hdr.Shards < 0 {
+		return nil, errAt(0, "negative shards")
+	}
+
+	if n, want, err = d.frameHead("trace", d.max); err != nil {
+		return nil, err
+	}
+	traceOff := d.off
+	sha := sha256.New()
+	sink := io.Writer(sha)
+	var spool *os.File
+	if d.r != nil && n > 0 {
+		if spool, err = os.CreateTemp(d.spoolDir, "edb-serve-spool-*.tmp"); err != nil {
+			return nil, fmt.Errorf("serve: creating trace spool: %w", err)
+		}
+		defer func() {
+			// By now decoding has read the whole spool back, so a
+			// failing Close has nothing left to report.
+			spool.Close()
+			if req == nil || req.Streamed == nil {
+				os.Remove(spool.Name())
+			}
+		}()
+		sink = io.MultiWriter(spool, sha)
+	}
+	tb, err := d.payload("trace", n, want, sink)
 	if err != nil {
 		return nil, err
 	}
-	if d.remaining() != 0 {
-		return nil, d.errAt(d.off, "%d trailing bytes after trace frame", d.remaining())
+	if err := d.end(); err != nil {
+		return nil, err
 	}
-	if hdr.Sessions.MaxSessions < 0 {
-		return nil, d.errAt(0, "negative max_sessions")
-	}
-	if hdr.Shards < 0 {
-		return nil, d.errAt(0, "negative shards")
-	}
-	if len(tb) == 0 {
+	if n == 0 {
 		if hdr.MutateFrom != nil {
-			return nil, d.errAt(d.off, "mutate_from requires the full trace payload")
+			return nil, errAt(d.off, "mutate_from requires the full trace payload")
 		}
 		if hdr.ContentSHA256 == "" {
-			return nil, d.errAt(d.off, "empty trace frame without a declared content hash")
+			return nil, errAt(d.off, "empty trace frame without a declared content hash")
 		}
 		if !validHexHash(hdr.ContentSHA256) {
-			return nil, d.errAt(0, "malformed content_sha256 %q", hdr.ContentSHA256)
+			return nil, errAt(0, "malformed content_sha256 %q", hdr.ContentSHA256)
 		}
 		return &Request{Header: hdr, Hash: hdr.ContentSHA256}, nil
 	}
-	tr, err := trace.Read(bytes.NewReader(tb))
-	if err != nil {
-		return nil, d.errAt(d.off-int64(len(tb)), "trace: %v", err)
-	}
-	if hdr.Program != "" && hdr.Program != tr.Program {
-		return nil, d.errAt(0, "header program %q does not match trace program %q", hdr.Program, tr.Program)
-	}
-	hash := contentHash(tb, &hdr)
+	hashQuestion(sha, &hdr)
+	hash := hex.EncodeToString(sha.Sum(nil))
 	if hdr.ContentSHA256 != "" && hdr.ContentSHA256 != hash {
-		return nil, d.errAt(0, "declared content_sha256 %s does not match computed %s", hdr.ContentSHA256, hash)
+		return nil, errAt(0, "declared content_sha256 %s does not match computed %s", hdr.ContentSHA256, hash)
 	}
-	return &Request{Header: hdr, Trace: tr, TraceBytes: tb, Hash: hash}, nil
+	req = &Request{Header: hdr, TraceBytes: tb, Hash: hash}
+	if spool == nil {
+		req.Trace, err = trace.Read(bytes.NewReader(tb))
+	} else {
+		req.Trace, req.Streamed, err = openSpool(spool, n)
+	}
+	if err != nil {
+		return nil, errAt(traceOff, "trace: %v", err)
+	}
+	if p := req.traceHead().Program; hdr.Program != "" && hdr.Program != p {
+		return nil, errAt(0, "header program %q does not match trace program %q", hdr.Program, p)
+	}
+	return req, nil
+}
+
+// DecodeRequest parses one request envelope held in memory. maxBytes
+// bounds the whole envelope (0 selects DefaultMaxRequestBytes); data
+// beyond it is rejected, not truncated. The returned Request's Trace
+// has been fully decoded and hash-verified against any declared
+// content hash, and its TraceBytes is a subslice of data.
+func DecodeRequest(data []byte, maxBytes int64) (*Request, error) {
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxRequestBytes
+	}
+	if int64(len(data)) > maxBytes {
+		return nil, errAt(maxBytes, "request of %d bytes exceeds limit %d", len(data), maxBytes)
+	}
+	return (&envReader{buf: data, max: maxBytes}).decode()
 }
 
 // validHexHash reports whether s is a well-formed lowercase hex

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -201,6 +202,26 @@ func TestDecodeSizeLimit(t *testing.T) {
 	}
 	if _, err := DecodeRequest(env.Bytes(), 16); err == nil || !IsBadRequest(err) {
 		t.Errorf("oversized request: err = %v, want bad request", err)
+	}
+	// The incremental decoder holds the same bound: the same oversize
+	// envelope, and a trace frame declaring more bytes than the bound
+	// leaves, are typed rejections that leave no spool file behind.
+	for _, c := range []struct {
+		name     string
+		maxBytes int64
+		want     string
+	}{
+		{"oversized request", 16, ""},
+		{"trace frame past the bound", int64(env.Len()) - 1, "trace length"},
+	} {
+		spoolDir := t.TempDir()
+		_, err := DecodeRequestStream(bytes.NewReader(env.Bytes()), c.maxBytes, spoolDir)
+		if err == nil || !IsBadRequest(err) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("streamed %s: err = %v, want bad request naming %q", c.name, err, c.want)
+		}
+		if ents, _ := os.ReadDir(spoolDir); len(ents) != 0 {
+			t.Errorf("streamed %s: %d spool files left", c.name, len(ents))
+		}
 	}
 }
 

@@ -20,6 +20,13 @@ func envelope(t *testing.T, hdr *RequestHeader, tb []byte) []byte {
 	return env.Bytes()
 }
 
+// longVersionV2 re-spells a v2 trace's one-byte version as the
+// two-byte uvarint 0x82 0x00. trace.Read accepts it, so both entry
+// points must, and both must treat it as v2.
+func longVersionV2(tb []byte) []byte {
+	return append(append(append([]byte(nil), tb[:4]...), 0x82, 0x00), tb[5:]...)
+}
+
 // TestDecodeRequestStreamParity: the incremental decoder accepts
 // exactly what the buffered decoder accepts and produces the same
 // content hash; v3 payloads come back spooled, legacy v2 payloads
@@ -33,8 +40,9 @@ func TestDecodeRequestStreamParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tb := range map[string][]byte{
-		"v2": encodeTestTrace(t, tr),
-		"v3": v3.Bytes(),
+		"v2":              encodeTestTrace(t, tr),
+		"v3":              v3.Bytes(),
+		"v2-long-version": longVersionV2(encodeTestTrace(t, tr)),
 	} {
 		env := envelope(t, hdr, tb)
 		want, err := DecodeRequest(env, 0)
@@ -53,7 +61,7 @@ func TestDecodeRequestStreamParity(t *testing.T) {
 			t.Errorf("%s: header mismatch: %+v vs %+v", name, got.Header, want.Header)
 		}
 		switch name {
-		case "v2":
+		case "v2", "v2-long-version":
 			if got.Streamed != nil || got.Trace == nil || len(got.Trace.Events) != len(tr.Events) {
 				t.Fatalf("v2 payload not materialised: %+v", got)
 			}
@@ -164,6 +172,9 @@ func TestDecodeRequestStreamRejects(t *testing.T) {
 		bad := *hdr
 		bad.Shards = -1
 		return envelope(t, &bad, v3.Bytes())
+	})
+	mutate("trace length past int64", func(b []byte) []byte {
+		return append(buildEnvelope(1, []byte(`{}`)), rawFrame(1<<63, 0, nil)...)
 	})
 }
 

@@ -7,7 +7,7 @@
 // replay core exists to keep the service answering under overload,
 // partial failure, and hostile input:
 //
-//	rate limit → quota → breaker → admission → retry/hedge → store
+//	rate limit → quota → breaker → admission → retry → store
 //
 // with per-tenant isolation at each stage, deadlines propagated from
 // header to replay, graceful drain on SIGTERM, and a crash-safe
@@ -71,11 +71,9 @@ type Config struct {
 
 	// Retries is the transient re-attempt budget per submission
 	// (< 0 = 0); RetryBackoff seeds the jittered exponential backoff
-	// (<= 0 = 10ms); HedgeAfter enables hedged duplicate dispatch when
-	// > 0.
+	// (<= 0 = 10ms).
 	Retries      int
 	RetryBackoff time.Duration
-	HedgeAfter   time.Duration
 
 	// BreakerThreshold consecutive failures open a (tenant, phase)
 	// circuit for BreakerCooldown (threshold <= 0 disables breakers;
@@ -154,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 		admission: NewAdmission(int64(cfg.Workers), cfg.QueuePerTenant),
 		tenants:   newTenantTable(cfg.Tenants, cfg.DefaultTenant, bcfg),
 		store:     store,
-		disp:      newDispatcher(cfg.Retries, cfg.RetryBackoff, cfg.HedgeAfter, cfg.Seed),
+		disp:      newDispatcher(cfg.Retries, cfg.RetryBackoff, cfg.Seed),
 		metrics:   cfg.Metrics,
 		tenantCap: obsv.NewLabelCap(cfg.TenantLabelCap, "other"),
 	}
@@ -540,15 +538,12 @@ func (s *Server) resolve(ctx context.Context, tenant string, ts *tenantState, re
 		rb.record(err, time.Now())
 		return art, true, err
 	}
-	compute := func(ctx context.Context) (*Artifact, error) {
-		return computeArtifact(tenant, req)
-	}
-	if req.Header.MutateFrom != nil {
-		compute = func(ctx context.Context) (*Artifact, error) {
+	art, err := s.disp.run(ctx, tenant, func(context.Context) (*Artifact, error) {
+		if req.Header.MutateFrom != nil {
 			return s.computeMutated(tenant, ts, req)
 		}
-	}
-	art, err := s.disp.run(ctx, tenant, compute)
+		return computeArtifact(tenant, req, nil)
+	})
 	rb.record(err, time.Now())
 	if err != nil {
 		fail(err)

@@ -7,7 +7,7 @@
 // every subsequent Open a Stream that shares the same immutable table
 // and header totals, positioned directly at the first block — repeated
 // replays of one artifact (exp's per-(benchmark,scale) cache, serve's
-// retry/hedge paths) skip the whole header decode.
+// verification pass and replay retries) skip the whole header decode.
 //
 // The shared object table must be treated as immutable by every
 // consumer; the replay engines only ever read it.
